@@ -27,11 +27,11 @@ inline bool full_scale(const Args& args) {
 /// MEGH_JOBS environment variable, else 0 (= default_parallelism). Use
 /// --jobs 1 for timing-grade per-step exec_ms numbers.
 inline int jobs(const Args& args) {
-  if (args.is_set("jobs")) return static_cast<int>(args.get_int("jobs"));
+  if (args.is_set("jobs")) return args.get_int32("jobs");
   if (const char* env = std::getenv("MEGH_JOBS")) {
     return static_cast<int>(parse_int(env, "MEGH_JOBS"));
   }
-  return static_cast<int>(args.get_int("jobs"));
+  return args.get_int32("jobs");
 }
 
 inline void add_standard_flags(Args& args) {

@@ -95,9 +95,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const Scenario scenario = make_planetlab_scenario(
-      static_cast<int>(args.get_int("hosts")),
-      static_cast<int>(args.get_int("vms")),
-      static_cast<int>(args.get_int("steps")), /*seed=*/4);
+      args.get_int32("hosts"), args.get_int32("vms"), args.get_int32("steps"),
+      /*seed=*/4);
 
   std::vector<ExperimentResult> results;
   WatermarkPolicy watermark(args.get_double("high"), args.get_double("low"));

@@ -24,10 +24,9 @@ int main(int argc, char** argv) {
   args.add_flag("oversubscription", "fabric oversubscription ratio", "4");
   if (!args.parse(argc, argv)) return 0;
 
-  const int hosts = static_cast<int>(args.get_int("hosts"));
+  const int hosts = args.get_int32("hosts");
   const Scenario scenario = make_planetlab_scenario(
-      hosts, static_cast<int>(args.get_int("vms")),
-      static_cast<int>(args.get_int("steps")), /*seed=*/6);
+      hosts, args.get_int32("vms"), args.get_int32("steps"), /*seed=*/6);
 
   NetworkLinkConfig links;
   links.oversubscription = args.get_double("oversubscription");

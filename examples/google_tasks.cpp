@@ -27,9 +27,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const Scenario scenario = make_google_scenario(
-      static_cast<int>(args.get_int("hosts")),
-      static_cast<int>(args.get_int("vms")),
-      static_cast<int>(args.get_int("steps")),
+      args.get_int32("hosts"), args.get_int32("vms"), args.get_int32("steps"),
       static_cast<std::uint64_t>(args.get_int("seed")));
 
   // Task-duration profile (Fig. 1b flavour).

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const std::filesystem::path out(args.get("out"));
-  const int vms = static_cast<int>(args.get_int("vms"));
-  const int steps = static_cast<int>(args.get_int("steps"));
+  const int vms = args.get_int32("vms");
+  const int steps = args.get_int32("steps");
 
   // --- PlanetLab-like: continuous bursty utilization ---
   PlanetLabSynthConfig pl_config;

@@ -1,6 +1,7 @@
 #include "common/args.hpp"
 
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -64,6 +65,16 @@ double Args::get_double(const std::string& name) const {
 
 long long Args::get_int(const std::string& name) const {
   return parse_int(get(name), "flag --" + name);
+}
+
+int Args::get_int32(const std::string& name) const {
+  const long long v = get_int(name);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw ConfigError("flag --" + name + " value " + std::to_string(v) +
+                      " is out of the int range");
+  }
+  return static_cast<int>(v);
 }
 
 bool Args::get_bool(const std::string& name) const {

@@ -25,6 +25,8 @@ class Args {
   std::string get(const std::string& name) const;
   double get_double(const std::string& name) const;
   long long get_int(const std::string& name) const;
+  /// get_int narrowed to int; throws ConfigError when out of int range.
+  int get_int32(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   bool is_set(const std::string& name) const;
 

@@ -1,6 +1,7 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -38,9 +39,16 @@ double parse_double(std::string_view s, std::string_view context) {
     throw IoError("empty numeric field in " + std::string(context));
   }
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(t.c_str(), &end);
   if (end != t.c_str() + t.size()) {
     throw IoError("cannot parse '" + t + "' as double in " +
+                  std::string(context));
+  }
+  // ERANGE also flags underflow, whose result (zero or subnormal) is the
+  // nearest double; only overflow to ±HUGE_VAL loses the value.
+  if (errno == ERANGE && std::isinf(v)) {
+    throw IoError("'" + t + "' overflows a double in " +
                   std::string(context));
   }
   return v;
@@ -52,9 +60,14 @@ long long parse_int(std::string_view s, std::string_view context) {
     throw IoError("empty integer field in " + std::string(context));
   }
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(t.c_str(), &end, 10);
   if (end != t.c_str() + t.size()) {
     throw IoError("cannot parse '" + t + "' as integer in " +
+                  std::string(context));
+  }
+  if (errno == ERANGE) {
+    throw IoError("'" + t + "' is out of the 64-bit integer range in " +
                   std::string(context));
   }
   return v;

@@ -14,10 +14,12 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Strip leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 
-/// Parse a double, throwing IoError with context on failure.
+/// Parse a double, throwing IoError with context on failure or overflow.
+/// "nan" and "inf" parse; callers that need finite values check.
 double parse_double(std::string_view s, std::string_view context);
 
-/// Parse an integer, throwing IoError with context on failure.
+/// Parse an integer, throwing IoError with context on failure or when the
+/// value does not fit in a long long.
 long long parse_int(std::string_view s, std::string_view context);
 
 /// True if `s` starts with `prefix`.

@@ -5,15 +5,7 @@
 #include <cstddef>
 #include <limits>
 
-#include "linalg/simd/simd.hpp"
-
 namespace megh {
-
-static_assert(SparseMatrix::kZeroTolerance == simd::kZeroTolerance,
-              "SIMD kernels must agree with SparseMatrix about zero");
-static_assert(sizeof(SparseMatrix::Entry) == 2 * sizeof(std::int64_t) &&
-                  offsetof(SparseMatrix::Entry, col) == 0,
-              "count_lt_stride2 walks Entry::col at stride 2");
 
 namespace {
 
@@ -315,7 +307,6 @@ void SparseMatrix::merge_into_row(Index r, double coef,
 
   scratch_row_.clear();
   scratch_row_.reserve(row.size() + vidx.size());
-  const simd::Ops& ops = simd::ops();
   std::size_t i = 0, j = 0;
   while (i < row.size() || j < vidx.size()) {
     // Skip v's diagonal entry; the caller folds it into diag_.
@@ -331,14 +322,8 @@ void SparseMatrix::merge_into_row(Index r, double coef,
       break;
     }
     if (i < row.size() && row[i].col < vidx[j]) {
-      // Untouched run of existing entries: block-skip over the strided
-      // col fields, then one bulk copy.
-      const std::size_t run =
-          ops.count_lt_stride2(&row[i].col, row.size() - i, vidx[j]);
-      scratch_row_.insert(
-          scratch_row_.end(), row.begin() + static_cast<std::ptrdiff_t>(i),
-          row.begin() + static_cast<std::ptrdiff_t>(i + run));
-      i += run;
+      scratch_row_.push_back(row[i]);
+      ++i;
     } else if (i < row.size() && row[i].col == vidx[j]) {
       const double nv = row[i].val + coef * vval[j];
       if (std::abs(nv) < kZeroTolerance) {
@@ -378,44 +363,6 @@ void SparseMatrix::rank1_update(const SparseVector& u, const SparseVector& v,
     if (coef == 0.0) continue;
     touch(r).diag += coef * v.get(r);
     merge_into_row(r, coef, v);
-  }
-}
-
-void SparseMatrix::unit_rank1_diagonal(Index a, double ua,
-                                       std::span<const Entry> w,
-                                       double scale) {
-  // Mirrors rank1_update(u, w, scale) for u = {a: ua}: the guards, the
-  // diagonal expression and the off-diagonal products keep the general
-  // path's exact shapes so the two are bit-identical. Like the general
-  // merge, every row this update can touch — a itself plus the column
-  // headers of w's support — is materialized, even when the product
-  // prunes below tolerance.
-  if (scale == 0.0) return;
-  check(a, a);
-  const double coef = scale * ua;
-  if (coef == 0.0) return;
-  touch(a);
-  for (const Entry& e : w) {
-    if (e.col != a) touch(e.col);
-  }
-  Row& row = rows_[static_cast<std::size_t>(
-      slot_of_[static_cast<std::size_t>(a)] - 1)];
-  MEGH_ASSERT(row.entries.empty() && row.cols.empty(),
-              "unit_rank1_diagonal requires a diagonal-only index");
-  double wa = 0.0;
-  for (const Entry& e : w) {
-    if (e.col == a) wa = e.val;
-  }
-  row.diag += coef * wa;
-  for (const Entry& e : w) {
-    if (e.col == a) continue;
-    const double nv = coef * e.val;
-    if (std::abs(nv) >= kZeroTolerance) {
-      // w is sorted and the row was empty, so appends stay sorted.
-      row.entries.push_back(Entry{e.col, nv});
-      register_col(e.col, a);
-      ++offdiag_nnz_;
-    }
   }
 }
 

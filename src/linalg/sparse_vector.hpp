@@ -66,7 +66,7 @@ class SparseVector {
     val_.reserve(n);
   }
 
-  /// *this += scale * other (single backward in-place merge).
+  /// *this += scale * other (one sorted merge).
   void axpy(double scale, const SparseVector& other);
 
   /// Scale all entries.

@@ -1,6 +1,7 @@
 #include "trace/csv_trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 
 #include "common/csv.hpp"
@@ -61,10 +62,18 @@ TraceTable load_planetlab_directory(const std::filesystem::path& dir) {
     if (!in) throw IoError("cannot open trace file: " + file.string());
     std::vector<double> s;
     std::string line;
+    int line_no = 0;
     while (std::getline(in, line)) {
+      ++line_no;
       const auto t = trim(line);
       if (t.empty()) continue;
-      s.push_back(parse_double(t, file.string()) / 100.0);
+      const std::string where = file.string() + ":" + std::to_string(line_no);
+      const double v = parse_double(t, where);
+      if (!std::isfinite(v)) {
+        throw IoError("non-finite utilization '" + std::string(t) + "' in " +
+                      where);
+      }
+      s.push_back(v / 100.0);
     }
     MEGH_REQUIRE(!s.empty(), "empty trace file: " + file.string());
     min_len = std::min(min_len, s.size());

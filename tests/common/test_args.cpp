@@ -69,6 +69,26 @@ TEST(ArgsTest, HelpReturnsFalse) {
   EXPECT_FALSE(args.parse(static_cast<int>(argv.size()), argv.data()));
 }
 
+// megh_sim --hosts 4294967306 used to run with 10 hosts: the 64-bit value
+// was narrowed to int by a cast. get_int32 rejects it instead.
+TEST(ArgsTest, Int32RejectsValuesOutsideIntRange) {
+  Args args;
+  args.add_flag("hosts", "", "0");
+  args.add_flag("low", "", "0");
+  args.add_flag("max", "", "0");
+  args.add_flag("huge", "", "0");
+  const auto argv = argv_of({"prog", "--hosts", "4294967306", "--low",
+                             "-2147483649", "--max", "2147483647", "--huge",
+                             "99999999999999999999"});
+  ASSERT_TRUE(args.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(args.get_int("hosts"), 4294967306LL);
+  EXPECT_THROW(args.get_int32("hosts"), ConfigError);
+  EXPECT_THROW(args.get_int32("low"), ConfigError);
+  EXPECT_EQ(args.get_int32("max"), 2147483647);
+  EXPECT_THROW(args.get_int("huge"), IoError);
+  EXPECT_THROW(args.get_int32("huge"), IoError);
+}
+
 TEST(ArgsTest, DoubleParsing) {
   Args args;
   args.add_flag("x", "", "2.5");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "common/error.hpp"
 
 namespace megh {
@@ -45,6 +47,23 @@ TEST(ParseIntTest, ParsesAndRejects) {
   EXPECT_EQ(parse_int("-7", "test"), -7);
   EXPECT_THROW(parse_int("4.2", "test"), IoError);
   EXPECT_THROW(parse_int("", "test"), IoError);
+}
+
+TEST(ParseIntTest, OutOfRangeThrowsInsteadOfSaturating) {
+  EXPECT_EQ(parse_int("9223372036854775807", "test"), LLONG_MAX);
+  EXPECT_EQ(parse_int("-9223372036854775808", "test"), LLONG_MIN);
+  EXPECT_THROW(parse_int("9223372036854775808", "test"), IoError);
+  EXPECT_THROW(parse_int("99999999999999999999", "test"), IoError);
+  EXPECT_THROW(parse_int("-99999999999999999999", "test"), IoError);
+}
+
+TEST(ParseDoubleTest, OverflowThrowsUnderflowRounds) {
+  EXPECT_THROW(parse_double("1e999", "test"), IoError);
+  EXPECT_THROW(parse_double("-1e999", "test"), IoError);
+  // Underflow yields the nearest double; nothing is lost that a double
+  // could have held.
+  EXPECT_EQ(parse_double("1e-999", "test"), 0.0);
+  EXPECT_DOUBLE_EQ(parse_double("1.7e308", "test"), 1.7e308);
 }
 
 TEST(StrfTest, FormatsLikePrintf) {

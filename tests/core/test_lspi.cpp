@@ -191,5 +191,36 @@ TEST(LspiTest, RestorePreservesLifetimeCounters) {
   EXPECT_GE(learner.truncations(), truncations);
 }
 
+TEST(LspiTest, RestoreStartsFromAFreshSlotMap) {
+  // restore() swaps in a new lazily-zeroed slot map: actions learned
+  // before it but absent from the restored state read as zero, and the
+  // restored support is all that is live. The map is 4 MiB here.
+  const std::int64_t dim = std::int64_t{1} << 20;
+  LspiLearner learner(dim, 0.9);
+  learner.update(5, 1.0, 9);
+  learner.update(dim - 1, 2.0, 5);
+  ASSERT_NE(learner.q_value(5), 0.0);
+  ASSERT_NE(learner.q_value(dim - 1), 0.0);
+
+  SparseVector z(dim), theta(dim);
+  z.set(3, 1.5);
+  theta.set(3, -0.25);
+  theta.set(dim - 2, 4.0);
+  learner.restore(SparseMatrix(dim, 1.0 / static_cast<double>(dim)), z,
+                  theta);
+  EXPECT_EQ(learner.q_value(5), 0.0);
+  EXPECT_EQ(learner.q_value(dim - 1), 0.0);
+  EXPECT_EQ(learner.q_value(3), -0.25);
+  EXPECT_EQ(learner.q_value(dim - 2), 4.0);
+  EXPECT_EQ(learner.theta_nnz(), 2u);
+  EXPECT_EQ(learner.z().nnz(), 1u);
+  EXPECT_EQ(learner.z().get(3), 1.5);
+
+  // A previously learned action materializes afresh on its next update.
+  learner.update(5, 1.0, 3);
+  EXPECT_EQ(learner.z().get(5), 1.0);
+  EXPECT_EQ(learner.z().nnz(), 2u);
+}
+
 }  // namespace
 }  // namespace megh

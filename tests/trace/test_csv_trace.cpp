@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "trace/planetlab_synth.hpp"
@@ -75,6 +76,30 @@ TEST_F(CsvTraceTest, PlanetLabDirectoryFormat) {
   EXPECT_EQ(t.num_steps(), 3);
   EXPECT_NEAR(t.at(0, 1), 0.2, 1e-6);  // files in lexicographic order
   EXPECT_NEAR(t.at(1, 0), 0.9, 1e-6);
+}
+
+// A nan line used to abort the process inside TraceTable::set, and an inf
+// line was silently clamped to full utilization. Both are now IoErrors
+// that name the file and line.
+TEST_F(CsvTraceTest, PlanetLabDirectoryRejectsNonFiniteValues) {
+  for (const char* bad : {"nan", "inf", "-inf", "NAN"}) {
+    const auto pl = dir_ / (std::string("pl_") + bad);
+    std::filesystem::create_directories(pl);
+    {
+      std::ofstream a(pl / "vm_a");
+      a << "10\n20\n30\n";
+      std::ofstream b(pl / "vm_b");
+      b << "90\n\n" << bad << "\n70\n";
+    }
+    try {
+      load_planetlab_directory(pl);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find((pl / "vm_b").string() + ":3"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST_F(CsvTraceTest, EmptyDirectoryRejected) {

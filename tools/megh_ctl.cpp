@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
     if (!args.parse(argc - 1, argv + 1)) return 0;
 
     serve::ServeClient client(std::make_shared<serve::SocketTransport>(
-        args.get("socket"),
-        static_cast<int>(args.get_int("connect-timeout-ms"))));
+        args.get("socket"), args.get_int32("connect-timeout-ms")));
     const std::uint32_t version = client.hello();
     if (version != serve::kProtocolVersion) {
       throw Error(strf("daemon speaks protocol v%u, this client v%u",

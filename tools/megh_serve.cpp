@@ -59,9 +59,8 @@ int main(int argc, char** argv) {
 
     serve::ServeOptions options;
     options.dir = args.get("dir");
-    options.compact_every = static_cast<int>(args.get_int("compact-every"));
-    options.compact_poll_ms =
-        static_cast<int>(args.get_int("compact-interval-ms"));
+    options.compact_every = args.get_int32("compact-every");
+    options.compact_poll_ms = args.get_int32("compact-interval-ms");
     options.fsync = !args.get_bool("no-fsync");
 
     if (args.get_bool("recover-only")) {

@@ -168,9 +168,9 @@ int main(int argc, char** argv) {
     }
 
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    const int hosts = static_cast<int>(args.get_int("hosts"));
-    int vms = static_cast<int>(args.get_int("vms"));
-    const int steps = static_cast<int>(args.get_int("steps"));
+    const int hosts = args.get_int32("hosts");
+    int vms = args.get_int32("vms");
+    const int steps = args.get_int32("steps");
     const std::string policy_name = args.get("policy");
 
     // --- scenario ---
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
     SimulationConfig sim_config =
         default_sim_config(options.max_migration_fraction);
     sim_config.network = options.network;
-    sim_config.jobs = static_cast<int>(args.get_int("jobs"));
+    sim_config.jobs = args.get_int32("jobs");
     if (args.get("migration-model") == "precopy") {
       sim_config.migration_model =
           SimulationConfig::MigrationTimeModel::kPreCopy;
@@ -229,8 +229,7 @@ int main(int argc, char** argv) {
                    "--migration-model must be flat or precopy");
     }
     // --- periodic checkpoints ---
-    const int checkpoint_every =
-        static_cast<int>(args.get_int("checkpoint-every"));
+    const int checkpoint_every = args.get_int32("checkpoint-every");
     const std::string checkpoint_save = args.get("checkpoint-save");
     if (checkpoint_every > 0) {
       MEGH_REQUIRE(!checkpoint_save.empty(),
