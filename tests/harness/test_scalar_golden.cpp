@@ -5,8 +5,19 @@
 // arithmetic — a reordered sum, a fused multiply-add, a different exp —
 // moves some decision or cost and fails here, so a change that means to
 // alter decisions must say so and re-record the goldens.
+//
+// The fig2 shape is small enough to enumerate every action, and there the
+// draw is insensitive to the learner: it still passes with the Boltzmann
+// temperature doubled or every Boltzmann weight raised by one ulp. The
+// learner golden below runs the paper's PlanetLab week (800 PMs, 1052 VMs,
+// 2016 steps, seed 1: the end-to-end benchmark's planetlab-800 run, whose
+// total is 1909.41 USD). It fails under both of those changes: the doubled
+// temperature moves step 162, the raised weights step 1069 (once the
+// temperature has decayed, a subset of underflowed weights becomes
+// drawable). A half-week run would miss the second.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +29,8 @@
 #include "core/megh_policy.hpp"
 #include "harness/experiment_engine.hpp"
 #include "harness/experiment_spec.hpp"
+#include "harness/scenario.hpp"
+#include "sim/simulation.hpp"
 
 namespace megh {
 namespace {
@@ -141,6 +154,57 @@ TEST(DecisionGolden, Fig2DecisionsMatchCommittedCsvs) {
                 without_column(got[i], exec_col))
           << name << " line " << i + 1;
     }
+  }
+}
+
+/// Steps of the learner golden: the whole simulated week, about a second
+/// in a release build.
+constexpr int kLearnerGoldenSteps = 2016;
+
+/// One line per step (decision outcome and cost, costs as exact %.17g
+/// text) plus a closing total line.
+std::vector<std::string> learner_golden_lines() {
+  const Scenario scenario = make_planetlab_scenario(800, 1052, 2016, 1);
+  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 2);
+  MeghConfig megh;
+  megh.seed = 3;
+  MeghPolicy policy(megh);
+  Simulation sim(std::move(dc), scenario.trace, default_sim_config(0.02));
+  const SimulationResult result = sim.run(policy, kLearnerGoldenSteps);
+
+  std::vector<std::string> lines = {
+      "step,migrations,rejected_migrations,active_hosts,step_cost_usd"};
+  char buf[160];
+  for (const StepSnapshot& s : result.steps) {
+    std::snprintf(buf, sizeof buf, "%d,%d,%d,%d,%.17g", s.step, s.migrations,
+                  s.rejected_migrations, s.active_hosts, s.step_cost_usd);
+    lines.emplace_back(buf);
+  }
+  std::snprintf(buf, sizeof buf, "total,%lld,,,%.17g", result.totals.migrations,
+                result.totals.total_cost_usd);
+  lines.emplace_back(buf);
+  return lines;
+}
+
+TEST(DecisionGolden, PlanetLabLearnerDecisionsMatchCommittedCsv) {
+  const std::filesystem::path golden =
+      std::filesystem::path(MEGH_TEST_DATA_DIR) / "learner_golden" /
+      "planetlab800_seed1.csv";
+  const std::vector<std::string> got = learner_golden_lines();
+  const std::vector<std::string> want = read_lines(golden);
+  if (got != want) {
+    // Leave the run's lines beside the test output, so a change that means
+    // to move decisions can re-record the golden from them.
+    const std::filesystem::path out =
+        std::filesystem::path(::testing::TempDir()) /
+        "planetlab800_seed1.csv";
+    std::ofstream file(out);
+    for (const std::string& line : got) file << line << '\n';
+    ADD_FAILURE() << "learner golden differs; this run's CSV is at " << out;
+  }
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got[i]) << "line " << i + 1;
   }
 }
 
