@@ -16,11 +16,12 @@
 //     paper's PlanetLab shape (m hosts, n = ceil(1.315 m) VMs; 800/1052 at
 //     the top size). Time is per benchmark iteration of kStepsPerRun steps;
 //     items/s is steps/s.
-//   * BM_SimStepSharded — the pod-sharded step at datacenter scale: Megh on
-//     a fat-tree fabric at {hosts, jobs} (2k and 10k hosts, 1–8 workers).
-//     jobs = 1 is the serial baseline the speedup column divides by;
-//     decisions are bit-identical at every jobs value, so only wall-clock
-//     moves.
+//   * BM_SimStepSharded — the pod-sharded step at datacenter scale: flat
+//     Megh on a fat-tree fabric at {hosts, jobs} (2k and 10k hosts, 1–8
+//     workers). The engine's per-host phases fan out; flat Megh decides
+//     serially on its one fleet-wide pod. jobs = 1 is the serial baseline
+//     the speedup column divides by; decisions are bit-identical at every
+//     jobs value, so only wall-clock moves.
 //   * BM_SimStepEngine100k — engine-only (NoMigration) steps at 100k hosts:
 //     the accounting scale ceiling, where the per-pod shards are the only
 //     thing between the step and a 100k-host serial scan.

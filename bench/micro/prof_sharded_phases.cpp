@@ -93,12 +93,24 @@ int main() {
   const SimulationResult result = sim.run(policy, steps);
   const double t_step = ms_since(t0) / steps;
 
-  // Candidate generation, serial, against the same datacenter state the
-  // in-run scans see (the post-run state — isolated fresh-placement state
-  // has far more overloaded hosts and overstates the scan cost).
+  // Candidate generation over the whole fleet, serial, against the same
+  // datacenter state the in-run scans see (the post-run state — isolated
+  // fresh-placement state has far more overloaded hosts and overstates the
+  // scan cost). It parallelizes as hier-megh's per-pod generation.
   const Datacenter& sim_dc = sim.datacenter();
   std::vector<double> sim_host_util = sim_dc.all_host_utilization();
   const ActionBasis basis(vms, hosts);
+  std::vector<int> fleet_vms(static_cast<std::size_t>(vms));
+  std::vector<std::int32_t> fleet_slots(static_cast<std::size_t>(vms));
+  for (int vm = 0; vm < vms; ++vm) {
+    fleet_vms[static_cast<std::size_t>(vm)] = vm;
+    fleet_slots[static_cast<std::size_t>(vm)] = vm;
+  }
+  CandidateDomain fleet;
+  fleet.host_end = hosts;
+  fleet.vms = fleet_vms;
+  fleet.vm_slot = fleet_slots;
+  fleet.slot_capacity = vms;
   CandidateConfig cand_config;
   CandidateScratch scratch;
   Rng rng(7);
@@ -106,7 +118,7 @@ int main() {
   for (int r = 0; r < reps; ++r) {
     const auto tc = Clock::now();
     generate_candidates(sim_dc, sim_host_util, cost.beta_overload, basis,
-                        cand_config, rng, scratch, fabric.get(), nullptr);
+                        cand_config, fleet, rng, scratch, fabric.get());
     t_candidates += ms_since(tc);
   }
   t_candidates /= reps;

@@ -87,64 +87,33 @@ void add_candidate(std::vector<CandidateAction>& out, const ActionBasis& basis,
                                 host == current, group});
 }
 
-/// Full enumeration: every (vm, feasible host) pair plus the no-op.
-///
-/// Emission order is pod-major when a fabric is attached: pods in
-/// ascending order, and within a pod its VMs in ascending order (a VM
-/// belongs to the pod of its current host), each VM emitting its no-op
-/// first and then targets by ascending host. Per-pod outputs are therefore
-/// contiguous blocks, so a sharded enumeration merges by plain
-/// concatenation in pod order — no interleaving to reconstruct. Without a
-/// fabric there is a single block and the order is exactly the historical
-/// vm-ascending one (the scalar-golden order).
+/// Full enumeration: every (vm, feasible host) pair of the domain plus the
+/// no-ops, VMs ascending, each VM emitting its no-op first and then its
+/// targets by ascending host.
 void enumerate_all(const Datacenter& dc, std::span<const double> host_util,
                    const ActionBasis& basis, double util_ceiling,
-                   const FatTreeTopology* network,
-                   const CandidateDomain* domain,
+                   const CandidateDomain& domain,
                    std::vector<CandidateAction>& out) {
   // d is small on this path by construction, but full_enumeration_limit is
   // caller-configurable: clamp the occupancy guess so a generous limit
   // cannot turn the reserve itself into a huge upfront allocation.
-  const std::size_t guess = static_cast<std::size_t>(dc.num_vms()) *
-                            static_cast<std::size_t>(dc.num_hosts()) / 4;
+  const std::size_t guess = domain.vms.size() *
+                            static_cast<std::size_t>(domain.host_end -
+                                                     domain.host_begin) /
+                            4;
   out.reserve(std::min<std::size_t>(guess, 65'536));
-  const int host_lo = domain != nullptr ? domain->host_begin : 0;
-  const int host_hi = domain != nullptr ? domain->host_end : dc.num_hosts();
-  const auto emit_vm = [&](int vm) {
+  for (int vm : domain.vms) {
     const int current = dc.host_of(vm);
     add_candidate(out, basis, vm, current, current,
                   CandidateGroup::kExploration);
-    for (int h = host_lo; h < host_hi; ++h) {
+    for (int h = domain.host_begin; h < domain.host_end; ++h) {
       if (h == current) continue;
       if (target_feasible(dc, host_util, vm, h, util_ceiling)) {
         add_candidate(out, basis, vm, h, current,
                       CandidateGroup::kExploration);
       }
     }
-  };
-  if (domain != nullptr) {
-    // Domain VMs come pre-sorted ascending — the same order the single-pod
-    // (and fabric-free) fleet enumeration below walks them in.
-    for (int vm : domain->vms) emit_vm(vm);
-    return;
   }
-  if (network == nullptr || network->capacity() < dc.num_hosts()) {
-    for (int vm = 0; vm < dc.num_vms(); ++vm) emit_vm(vm);
-    return;
-  }
-  for (int pod = 0; pod < network->num_pods(); ++pod) {
-    for (int vm = 0; vm < dc.num_vms(); ++vm) {
-      if (network->pod_of(dc.host_of(vm)) == pod) emit_vm(vm);
-    }
-  }
-#ifndef NDEBUG
-  // The concatenation contract above: source pods never decrease.
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    MEGH_ASSERT(network->pod_of(dc.host_of(out[i].vm)) >=
-                    network->pod_of(dc.host_of(out[i - 1].vm)),
-                "enumerate_all: pod blocks must be contiguous");
-  }
-#endif
 }
 
 }  // namespace
@@ -152,41 +121,33 @@ void enumerate_all(const Datacenter& dc, std::span<const double> host_util,
 void generate_candidates(const Datacenter& dc,
                          std::span<const double> host_util, double beta,
                          const ActionBasis& basis,
-                         const CandidateConfig& config, Rng& rng,
+                         const CandidateConfig& config,
+                         const CandidateDomain& domain, Rng& rng,
                          CandidateScratch& scratch,
-                         const FatTreeTopology* network,
-                         const ShardExecutor* exec,
-                         const CandidateDomain* domain) {
+                         const FatTreeTopology* network) {
   MEGH_TRACE_SCOPE("megh.candidates");
   if (!config.network_aware) network = nullptr;
   MEGH_ASSERT(static_cast<int>(host_util.size()) == dc.num_hosts(),
               "host_util size mismatch");
-  scratch.candidates.clear();
-  // The enumeration gate compares the reachable action count: the full
-  // basis for fleet calls, |vms| × width for a domain (the same product —
-  // N × M — when the domain spans the fleet).
-  const std::int64_t reachable_dim =
-      domain != nullptr
-          ? static_cast<std::int64_t>(domain->vms.size()) *
-                static_cast<std::int64_t>(domain->host_end -
-                                          domain->host_begin)
-          : basis.dim();
-  if (reachable_dim <= config.full_enumeration_limit) {
-    enumerate_all(dc, host_util, basis, config.target_util_ceiling, network,
-                  domain, scratch.candidates);
-    record_candidates(scratch.candidates.size());
-    return;
-  }
-
   const int num_hosts = dc.num_hosts();
   // Host range this call may source from, scan and target. Every per-host
   // scratch array below is sized `hosts` = the range's width and indexed
-  // relative to host_lo, so a pod-sized domain costs pod-sized scratch.
-  const int host_lo = domain != nullptr ? domain->host_begin : 0;
-  const int host_hi = domain != nullptr ? domain->host_end : num_hosts;
+  // relative to host_lo.
+  const int host_lo = domain.host_begin;
+  const int host_hi = domain.host_end;
   MEGH_ASSERT(host_lo >= 0 && host_lo < host_hi && host_hi <= num_hosts,
               "generate_candidates: domain host range out of bounds");
-  const std::size_t hosts = static_cast<std::size_t>(host_hi - host_lo);
+  const int width = host_hi - host_lo;
+  const std::size_t hosts = static_cast<std::size_t>(width);
+  scratch.candidates.clear();
+  // The enumeration gate compares the domain's reachable action count.
+  if (static_cast<std::int64_t>(domain.vms.size()) * width <=
+      config.full_enumeration_limit) {
+    enumerate_all(dc, host_util, basis, config.target_util_ceiling, domain,
+                  scratch.candidates);
+    record_candidates(scratch.candidates.size());
+    return;
+  }
 
   // Worst-case source/candidate counts from the config — used to size every
   // reusable container up front, so no later step can set a new capacity
@@ -199,12 +160,10 @@ void generate_candidates(const Datacenter& dc,
       max_sources * static_cast<std::size_t>(config.targets_per_source + 3);
 
   // --- select source VMs (tagged by the group they will draw in) ---
-  // The "seen" stamp array is indexed by the VM's dense slot: the global vm
-  // id for fleet calls, the domain's vm_slot mapping for pod calls — so a
+  // The "seen" stamp array is indexed by the VM's dense domain slot, so a
   // pod-sized domain keeps the array pod-sized.
   const std::size_t stamp_slots =
-      domain != nullptr ? static_cast<std::size_t>(domain->slot_capacity)
-                        : static_cast<std::size_t>(dc.num_vms());
+      static_cast<std::size_t>(domain.slot_capacity);
   if (scratch.vm_epoch.size() != stamp_slots) {
     scratch.vm_epoch.assign(stamp_slots, 0);
     scratch.epoch = 0;
@@ -219,18 +178,12 @@ void generate_candidates(const Datacenter& dc,
   const std::uint32_t epoch = scratch.epoch;
   auto& sources = scratch.sources;
   sources.clear();
-  const auto stamp_of = [&](int vm) -> std::uint32_t& {
+  const auto push_source = [&](int vm, CandidateGroup group) {
     const std::size_t slot =
-        domain != nullptr
-            ? static_cast<std::size_t>(
-                  domain->vm_slot[static_cast<std::size_t>(vm)])
-            : static_cast<std::size_t>(vm);
+        static_cast<std::size_t>(domain.vm_slot[static_cast<std::size_t>(vm)]);
     MEGH_ASSERT(slot < scratch.vm_epoch.size(),
                 "generate_candidates: vm slot out of range");
-    return scratch.vm_epoch[slot];
-  };
-  const auto push_source = [&](int vm, CandidateGroup group) {
-    std::uint32_t& stamp = stamp_of(vm);
+    std::uint32_t& stamp = scratch.vm_epoch[slot];
     if (stamp != epoch) {
       stamp = epoch;
       sources.emplace_back(vm, group);
@@ -275,57 +228,20 @@ void generate_candidates(const Datacenter& dc,
     }
   }
 
-  // 3. Random exploration sources. Domain calls draw from the domain's VM
-  // list; a fleet-spanning domain has vms[i] == i, so the Rng consumption
-  // and the chosen VM match the domain-free draw exactly.
-  const std::size_t vm_universe = domain != nullptr
-                                      ? domain->vms.size()
-                                      : static_cast<std::size_t>(dc.num_vms());
-  for (int i = 0; i < config.random_sources && vm_universe > 0; ++i) {
-    const std::size_t pick = rng.index(vm_universe);
-    push_source(domain != nullptr ? domain->vms[pick]
-                                  : static_cast<int>(pick),
+  // 3. Random exploration sources, drawn from the domain's VM list.
+  for (int i = 0; i < config.random_sources && !domain.vms.empty(); ++i) {
+    push_source(domain.vms[rng.index(domain.vms.size())],
                 CandidateGroup::kExploration);
   }
 
-  // --- resolve the shard plan (single code path, sharded or not) ---
-  // The batched scans below always run per shard and merge in shard order;
-  // with no executor the whole fleet is one shard, which makes the merged
-  // result trivially the serial fold. One implementation, no drift.
-  // Domain calls never fan out: they already execute inside one of the
-  // executor's shard workers (the pool is not re-entrant), and their single
-  // shard is the domain itself. Shard bounds are relative to host_lo.
-  if (domain != nullptr) exec = nullptr;
-  const int domain_width = host_hi - host_lo;
-  const ShardPlan* plan = nullptr;
-  if (exec != nullptr) {
-    MEGH_ASSERT(exec->plan().count() == num_hosts,
-                "generate_candidates: executor plan does not cover the fleet");
-    plan = &exec->plan();
-  } else {
-    if (!scratch.fallback_plan.has_value() ||
-        scratch.fallback_plan->count() != domain_width) {
-      scratch.fallback_plan = ShardPlan::single(domain_width);
-    }
-    plan = &*scratch.fallback_plan;
-  }
-  const int num_shards = plan->num_shards();
-  const bool fan_out = exec != nullptr && exec->parallel();
-
   // --- hoist step-constant per-host values ---
-  // Every expression below mirrors the Datacenter accessor the scans used
-  // to call per (source, host); precomputing them per step changes nothing
-  // but the constant factor. Each host writes only its own entries, so the
-  // loop shards freely.
   scratch.host_capacity.resize(hosts);
   scratch.host_ram_used.resize(hosts);
   scratch.host_ram_cap.resize(hosts);
   scratch.host_base_watts.resize(hosts);
   scratch.host_power.resize(hosts);
   scratch.host_active.resize(hosts);
-  // Hoisted arrays are indexed relative to host_lo (rel == global for
-  // fleet calls); host_util stays globally indexed throughout.
-  const auto hoist_host = [&](int h) {
+  for (int h = host_lo; h < host_hi; ++h) {
     const std::size_t i = static_cast<std::size_t>(h - host_lo);
     const HostSpec& spec = dc.host_spec(h);
     scratch.host_capacity[i] = spec.mips;
@@ -334,17 +250,12 @@ void generate_candidates(const Datacenter& dc,
     scratch.host_power[i] = &spec.power;
     const bool active = dc.is_active(h);
     scratch.host_active[i] = active ? 1 : 0;
-    // cached_pabfd's per-probe baseline, computed once per host instead:
-    // active hosts pay watts(before), sleeping hosts their sleep draw.
+    // PABFD's per-probe baseline, computed once per host instead: active
+    // hosts pay watts(before), sleeping hosts their sleep draw.
     scratch.host_base_watts[i] =
         active ? spec.power.watts(
                      std::min(1.0, host_util[static_cast<std::size_t>(h)]))
                : spec.power.sleep_watts();
-  };
-  if (fan_out) {
-    exec->for_items(hoist_host);
-  } else {
-    for (int h = host_lo; h < host_hi; ++h) hoist_host(h);
   }
 
   // Datacenter::fits on the hoisted arrays (identical comparison).
@@ -362,132 +273,6 @@ void generate_candidates(const Datacenter& dc,
         host_util[static_cast<std::size_t>(h)] * capacity + vm_mips;
     return post <= ceiling * capacity + 1e-9;
   };
-  // --- batched per-(shard, source) PABFD + packing scans ---
-  // The per-host scans are the step's O(sources × hosts) core. Both are
-  // RNG-free strict-preference folds (PABFD: prefer active, then smaller
-  // power increase, first host wins ties; packing: strictly busiest
-  // feasible host, first wins), so each shard can fold its contiguous host
-  // range independently and a serial merge in shard order reproduces the
-  // full-range fold bit-for-bit. PABFD arithmetic matches the original
-  // per-source implementation exactly; only watts(before) is hoisted.
-  const std::size_t nsrc = sources.size();
-  scratch.src_current.resize(nsrc);
-  scratch.src_ram.resize(nsrc);
-  scratch.src_mips.resize(nsrc);
-  for (std::size_t k = 0; k < nsrc; ++k) {
-    const int vm = sources[k].first;
-    scratch.src_current[k] = dc.host_of(vm);
-    scratch.src_ram[k] = dc.vm_spec(vm).ram_mb;
-    scratch.src_mips[k] = dc.vm_demand_mips(vm);
-  }
-  using ScanPartial = CandidateScratch::ScanPartial;
-  scratch.scan_partials.resize(static_cast<std::size_t>(num_shards) * nsrc);
-  const auto scan_shard = [&](int shard) {
-    // Shard bounds are relative to host_lo (fleet plans have host_lo == 0,
-    // so this is the historical global range there).
-    const int begin = host_lo + plan->shard_begin(shard);
-    const int end = host_lo + plan->shard_end(shard);
-    ScanPartial* partials =
-        scratch.scan_partials.data() +
-        static_cast<std::size_t>(shard) * nsrc;
-    for (std::size_t k = 0; k < nsrc; ++k) {
-      ScanPartial p;
-      const int current = scratch.src_current[k];
-      const double vm_ram = scratch.src_ram[k];
-      const double vm_mips = scratch.src_mips[k];
-      // PABFD fold — skipped for consolidation sources (packing-only menu).
-      if (sources[k].second != CandidateGroup::kConsolidation) {
-        double best_increase = std::numeric_limits<double>::infinity();
-        for (int h = begin; h < end; ++h) {
-          if (h == current) continue;
-          const std::size_t i = static_cast<std::size_t>(h - host_lo);
-          if (!fits_fast(h, vm_ram)) continue;
-          const double capacity = scratch.host_capacity[i];
-          const double after =
-              host_util[static_cast<std::size_t>(h)] + vm_mips / capacity;
-          if (after > config.target_util_ceiling + 1e-9) continue;
-          const bool active = scratch.host_active[i] != 0;
-          // No side effects in the skipped work, so the early-out cannot
-          // change the fold's winner.
-          if (p.pabfd >= 0 && p.pabfd_active && !active) continue;
-          const double increase = scratch.host_power[i]->watts(
-                                      std::min(1.0, after)) -
-                                  scratch.host_base_watts[i];
-          const bool better = p.pabfd < 0 || (active && !p.pabfd_active) ||
-                              (active == p.pabfd_active &&
-                               increase < best_increase);
-          if (better) {
-            p.pabfd = h;
-            best_increase = increase;
-            p.pabfd_active = active;
-          }
-        }
-        p.pabfd_increase = best_increase;
-      }
-      // Packing fold: busiest active host under the pack ceiling, with an
-      // in-pod variant when a fabric is attached.
-      for (int h = begin; h < end; ++h) {
-        const std::size_t i = static_cast<std::size_t>(h - host_lo);
-        if (h == current || scratch.host_active[i] == 0) continue;
-        const double u = host_util[static_cast<std::size_t>(h)];
-        if (u <= p.pack_local_util && u <= p.pack_util) continue;
-        if (!feasible_fast(h, vm_ram, vm_mips, config.pack_ceiling)) continue;
-        if (u > p.pack_util) {
-          p.pack = h;
-          p.pack_util = u;
-        }
-        if (network != nullptr && u > p.pack_local_util &&
-            network->pod_of(h) == network->pod_of(current)) {
-          p.pack_local = h;
-          p.pack_local_util = u;
-        }
-      }
-      partials[k] = p;
-    }
-  };
-  if (fan_out) {
-    exec->for_shards(scan_shard);
-  } else {
-    for (int s = 0; s < num_shards; ++s) scan_shard(s);
-  }
-
-  // Serial merge, shard order = ascending host order. Each merge applies
-  // the same strict preference the folds used, so the result equals the
-  // single full-range scan.
-  scratch.pabfd_choice.resize(nsrc);
-  scratch.pack_choice.resize(nsrc);
-  for (std::size_t k = 0; k < nsrc; ++k) {
-    int pabfd = -1;
-    double pabfd_increase = std::numeric_limits<double>::infinity();
-    bool pabfd_active = false;
-    int pack = -1, pack_local = -1;
-    double pack_util = -1.0, pack_local_util = -1.0;
-    for (int s = 0; s < num_shards; ++s) {
-      const ScanPartial& p =
-          scratch.scan_partials[static_cast<std::size_t>(s) * nsrc + k];
-      if (p.pabfd >= 0) {
-        const bool better = pabfd < 0 || (p.pabfd_active && !pabfd_active) ||
-                            (p.pabfd_active == pabfd_active &&
-                             p.pabfd_increase < pabfd_increase);
-        if (better) {
-          pabfd = p.pabfd;
-          pabfd_increase = p.pabfd_increase;
-          pabfd_active = p.pabfd_active;
-        }
-      }
-      if (p.pack >= 0 && p.pack_util > pack_util) {
-        pack = p.pack;
-        pack_util = p.pack_util;
-      }
-      if (p.pack_local >= 0 && p.pack_local_util > pack_local_util) {
-        pack_local = p.pack_local;
-        pack_local_util = p.pack_local_util;
-      }
-    }
-    scratch.pabfd_choice[k] = pabfd;
-    // In-pod packing host preferred (short copy path); global fallback.
-    scratch.pack_choice[k] = pack_local >= 0 ? pack_local : pack;
-  }
 
   // --- targets per source ---
   auto& out = scratch.candidates;
@@ -499,37 +284,79 @@ void generate_candidates(const Datacenter& dc,
       add_candidate(out, basis, vm, host, current, group);
     }
   };
-  // The emission loop stays serial and in source order: it is the only
-  // part that draws from `rng`, so the RNG stream is consumed exactly as
-  // the unsharded generator consumed it.
-  for (std::size_t k = 0; k < nsrc; ++k) {
-    const int vm = sources[k].first;
-    const int current = scratch.src_current[k];
-    const double vm_ram = scratch.src_ram[k];
-    const double vm_mips = scratch.src_mips[k];
-    group = sources[k].second;
+  for (const auto& [vm, source_group] : sources) {
+    const int current = dc.host_of(vm);
+    const double vm_ram = dc.vm_spec(vm).ram_mb;
+    const double vm_mips = dc.vm_demand_mips(vm);
+    group = source_group;
     push_candidate(vm, current, current);  // no-op first
 
     // PABFD target (power-aware best fit) as a high-quality candidate —
-    // except for consolidation sources, whose menu is packing-only.
-    if (group != CandidateGroup::kConsolidation &&
-        scratch.pabfd_choice[k] >= 0) {
-      push_candidate(vm, scratch.pabfd_choice[k], current);
+    // except for consolidation sources, whose menu is packing-only. The
+    // fold prefers active hosts, then the smaller power increase; the
+    // first host wins ties.
+    if (group != CandidateGroup::kConsolidation) {
+      int pabfd = -1;
+      bool pabfd_active = false;
+      double best_increase = std::numeric_limits<double>::infinity();
+      for (int h = host_lo; h < host_hi; ++h) {
+        if (h == current) continue;
+        const std::size_t i = static_cast<std::size_t>(h - host_lo);
+        if (!fits_fast(h, vm_ram)) continue;
+        const double capacity = scratch.host_capacity[i];
+        const double after =
+            host_util[static_cast<std::size_t>(h)] + vm_mips / capacity;
+        if (after > config.target_util_ceiling + 1e-9) continue;
+        const bool active = scratch.host_active[i] != 0;
+        // No side effects in the skipped work, so the early-out cannot
+        // change the fold's winner.
+        if (pabfd >= 0 && pabfd_active && !active) continue;
+        const double increase =
+            scratch.host_power[i]->watts(std::min(1.0, after)) -
+            scratch.host_base_watts[i];
+        const bool better = pabfd < 0 || (active && !pabfd_active) ||
+                            (active == pabfd_active &&
+                             increase < best_increase);
+        if (better) {
+          pabfd = h;
+          best_increase = increase;
+          pabfd_active = active;
+        }
+      }
+      if (pabfd >= 0) push_candidate(vm, pabfd, current);
     }
 
-    // Packing target: busiest active host that still fits under the pack
-    // ceiling (consolidation move), in-pod preferred when a fabric is
-    // attached — merged from the sharded scan above.
-    if (scratch.pack_choice[k] >= 0) {
-      push_candidate(vm, scratch.pack_choice[k], current);
+    // Packing target: the busiest active host that still fits under the
+    // pack ceiling (consolidation move), in-pod preferred when a fabric is
+    // attached (short copy path); first host wins ties.
+    int pack = -1, pack_local = -1;
+    double pack_util = -1.0, pack_local_util = -1.0;
+    for (int h = host_lo; h < host_hi; ++h) {
+      const std::size_t i = static_cast<std::size_t>(h - host_lo);
+      if (h == current || scratch.host_active[i] == 0) continue;
+      const double u = host_util[static_cast<std::size_t>(h)];
+      if (u <= pack_local_util && u <= pack_util) continue;
+      if (!feasible_fast(h, vm_ram, vm_mips, config.pack_ceiling)) continue;
+      if (u > pack_util) {
+        pack = h;
+        pack_util = u;
+      }
+      if (network != nullptr && u > pack_local_util &&
+          network->pod_of(h) == network->pod_of(current)) {
+        pack_local = h;
+        pack_local_util = u;
+      }
     }
+    if (pack_local >= 0) pack = pack_local;
+    if (pack >= 0) push_candidate(vm, pack, current);
 
     // Random feasible targets (spread moves) — offered for overloaded and
     // exploration sources. Consolidation sources get packing moves only,
-    // so the consolidation draw never un-packs a host.
+    // so the consolidation draw never un-packs a host. This is the only
+    // part that draws from `rng`, in source order.
     if (group == CandidateGroup::kConsolidation) continue;
     int added = 0;
-    const int probes = std::min(domain_width, 4 * config.targets_per_source);
+    const int probes = std::min(width, 4 * config.targets_per_source);
     for (int i = 0; i < probes && added < config.targets_per_source; ++i) {
       int h;
       if (network != nullptr && rng.bernoulli(config.local_probe_fraction)) {
@@ -541,14 +368,11 @@ void generate_candidates(const Datacenter& dc,
                            network->hosts_per_pod())));
         if (h >= num_hosts) continue;  // fabric ports beyond the fleet
       } else {
-        // Fleet-wide draw, or the domain's host range for a domain call
-        // (host_lo == 0 and domain_width == num_hosts otherwise).
         h = host_lo + static_cast<int>(
-                          rng.index(static_cast<std::size_t>(domain_width)));
+                          rng.index(static_cast<std::size_t>(width)));
       }
-      // Domain calls only target their own range (a pod probe can land
-      // outside it when the domain is a topology-free block); no-op for
-      // fleet calls.
+      // Only the domain's own range is a target (a pod probe can land
+      // outside it when the domain is a topology-free block).
       if (h < host_lo || h >= host_hi) continue;
       if (h == current) continue;
       if (!feasible_fast(h, vm_ram, vm_mips, config.target_util_ceiling))
@@ -564,9 +388,20 @@ std::vector<CandidateAction> generate_candidates(
     const Datacenter& dc, std::span<const double> host_util, double beta,
     const ActionBasis& basis, const CandidateConfig& config, Rng& rng,
     const FatTreeTopology* network) {
+  std::vector<int> vms;
+  std::vector<std::int32_t> slots(static_cast<std::size_t>(dc.num_vms()));
+  for (int vm = 0; vm < dc.num_vms(); ++vm) {
+    slots[static_cast<std::size_t>(vm)] = vm;
+    if (dc.host_of(vm) != kUnplaced) vms.push_back(vm);
+  }
+  CandidateDomain domain;
+  domain.host_end = dc.num_hosts();
+  domain.vms = vms;
+  domain.vm_slot = slots;
+  domain.slot_capacity = dc.num_vms();
   CandidateScratch scratch;
-  generate_candidates(dc, host_util, beta, basis, config, rng, scratch,
-                      network);
+  generate_candidates(dc, host_util, beta, basis, config, domain, rng,
+                      scratch, network);
   return std::move(scratch.candidates);
 }
 

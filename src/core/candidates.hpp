@@ -17,10 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/basis.hpp"
 #include "sim/datacenter.hpp"
@@ -55,15 +54,12 @@ struct CandidateConfig {
   double local_probe_fraction = 0.75;
 };
 
-/// Restriction of candidate generation to a sub-fleet: one contiguous host
-/// range plus the VMs currently placed on it. The hierarchical per-pod
-/// Megh runs each pod's generation through the same code path flat Megh
-/// uses for the whole fleet — sources, scan ranges, random probes and full
-/// enumeration all stay inside [host_begin, host_end), and the caller's
-/// Rng is the pod's own stream. A domain spanning the entire fleet (with
-/// `vms` = every VM ascending and vm_slot[v] == v) consumes the Rng
-/// identically to a domain-free call and produces the same candidate set
-/// when the fabric has at most one pod.
+/// The sub-fleet a candidate set is generated for: one contiguous host
+/// range plus the VMs currently placed on it — one Megh pod. Sources, scan
+/// ranges, random probes and full enumeration all stay inside
+/// [host_begin, host_end), and the caller's Rng is the pod's own stream.
+/// Flat Megh's domain spans the fleet: `vms` is every VM ascending and
+/// vm_slot[v] == v.
 struct CandidateDomain {
   int host_begin = 0;
   int host_end = 0;  // exclusive
@@ -124,80 +120,43 @@ struct CandidateScratch {
   std::vector<std::pair<int, CandidateGroup>> sources;
   std::vector<int> overloaded_hosts;
   std::vector<int> active_hosts;
-  // Per-VM "already a source" stamps: vm_epoch[vm] == epoch ⇔ seen. An
+  // Per-slot "already a source" stamps: vm_epoch[slot] == epoch ⇔ seen. An
   // epoch bump invalidates all stamps in O(1).
   std::vector<std::uint32_t> vm_epoch;
   std::uint32_t epoch = 0;
   detail::InsertOnlyIndexSet index_seen;
   // Step-constant per-host values hoisted out of the per-(source, host)
-  // scans. Each is filled from the same Datacenter accessor expression the
-  // scans used to evaluate inline, so feasibility and PABFD decisions stay
-  // bit-identical — this only removes repeated HostSpec indirection and the
-  // per-source recomputation of watts(before).
+  // scans, indexed relative to the domain's first host. Each is filled from
+  // the same Datacenter accessor expression the scans would evaluate
+  // inline, so feasibility and PABFD decisions are unchanged — this only
+  // removes repeated HostSpec indirection and the per-source recomputation
+  // of watts(before).
   std::vector<double> host_capacity;
   std::vector<double> host_ram_used;
   std::vector<double> host_ram_cap;
   std::vector<double> host_base_watts;
   std::vector<const PowerModel*> host_power;
   std::vector<std::uint8_t> host_active;
-  /// One fold state per (shard, source) for the batched PABFD/packing
-  /// scans: each shard folds its contiguous host range for every source,
-  /// and a serial merge in shard order reproduces the full-range fold
-  /// bit-for-bit (both folds are strict-preference argopt with first-wins
-  /// ties — see generate_candidates). Laid out [shard * num_sources + k]
-  /// so a shard writes one contiguous block (no false sharing).
-  struct ScanPartial {
-    int pabfd = -1;             // best PABFD target in the shard, -1 = none
-    double pabfd_increase = 0.0;
-    bool pabfd_active = false;
-    int pack = -1;              // busiest feasible packing host in the shard
-    int pack_local = -1;        // same, restricted to the source's pod
-    double pack_util = -1.0;
-    double pack_local_util = -1.0;
-  };
-  std::vector<ScanPartial> scan_partials;
-  // Per-source values hoisted before the sharded scans (shards must not
-  // call back into dc concurrently with each other only for writes; these
-  // are reads, hoisting just keeps the inner loops tight).
-  std::vector<int> src_current;
-  std::vector<double> src_ram;
-  std::vector<double> src_mips;
-  // Per-source merged scan results consumed by the emission loop.
-  std::vector<int> pabfd_choice;
-  std::vector<int> pack_choice;
-  /// Cached single-shard plan for unsharded callers (exec == nullptr), so
-  /// their steady-state calls stay allocation-free too.
-  std::optional<ShardPlan> fallback_plan;
 };
 
-/// Build this step's candidate set into `scratch.candidates` (overwritten).
-/// `host_util` is the demanded utilization per host; `beta` the overload
-/// threshold. Always produces at least the no-op candidates for the
-/// selected source VMs. Steady-state calls are allocation-free.
-///
-/// `exec` (optional) shards the per-host PABFD/packing scans across the
-/// engine's step executor. The candidate set is bit-identical at any job
-/// count — and to an exec == nullptr call: every scan is an RNG-free
-/// strict-preference fold whose per-shard partials merge exactly, source
-/// selection and the random target probes stay serial in the original
-/// order, so the RNG stream is consumed identically.
-///
-/// `domain` (optional) restricts generation to a sub-fleet (see
-/// CandidateDomain). Domain calls never touch `exec` — they already run
-/// inside one of its shard workers — and every per-host scratch array is
-/// sized to the domain's width, so a pod-local scratch costs O(pod), not
-/// O(fleet). The full-enumeration gate compares |domain.vms| × width
-/// (the domain's reachable action count) against the limit.
+/// Build this step's candidate set for `domain` into `scratch.candidates`
+/// (overwritten). `host_util` is the demanded utilization per host (fleet
+/// indexed); `beta` the overload threshold. Always produces at least the
+/// no-op candidates for the selected source VMs. Every per-host scratch
+/// array is sized to the domain's width, so a pod-local scratch costs
+/// O(pod), not O(fleet). The full-enumeration gate compares |domain.vms| ×
+/// width (the domain's reachable action count, N × M for a fleet domain)
+/// against the limit. Steady-state calls are allocation-free.
 void generate_candidates(const Datacenter& dc,
                          std::span<const double> host_util, double beta,
                          const ActionBasis& basis,
-                         const CandidateConfig& config, Rng& rng,
+                         const CandidateConfig& config,
+                         const CandidateDomain& domain, Rng& rng,
                          CandidateScratch& scratch,
-                         const FatTreeTopology* network = nullptr,
-                         const ShardExecutor* exec = nullptr,
-                         const CandidateDomain* domain = nullptr);
+                         const FatTreeTopology* network = nullptr);
 
-/// Convenience wrapper (tests, one-shot callers): fresh scratch per call.
+/// Convenience wrapper (tests, one-shot callers): the whole fleet as the
+/// domain, fresh scratch per call.
 std::vector<CandidateAction> generate_candidates(
     const Datacenter& dc, std::span<const double> host_util, double beta,
     const ActionBasis& basis, const CandidateConfig& config, Rng& rng,

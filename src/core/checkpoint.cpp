@@ -12,15 +12,11 @@ namespace megh {
 
 namespace {
 
-constexpr const char* kMagicV1 = "megh-checkpoint v1";
-constexpr const char* kMagicV3 = "megh-checkpoint v3";
-constexpr const char* kMagicV4 = "megh-checkpoint v4";
+constexpr int kVersion = 4;
+constexpr const char* kMagic = "megh-checkpoint v4";
 
 /// Consume the magic line and return the format version it declares.
-/// Throws ConfigError when the line is not a megh checkpoint magic at all;
-/// version acceptance is the caller's decision, so a loader handed the
-/// wrong generation of file can say which loader to use instead of
-/// failing later with a confusing structural error.
+/// Throws ConfigError when the line is not a megh checkpoint magic at all.
 int read_checkpoint_version(std::istream& in, const std::string& context) {
   std::string magic;
   std::getline(in, magic);
@@ -41,30 +37,6 @@ int read_checkpoint_version(std::istream& in, const std::string& context) {
     version = version * 10 + (c - '0');
   }
   return version;
-}
-
-/// What each known format version holds and which loader reads it — the
-/// actionable half of every version-mismatch ConfigError.
-std::string version_hint(int version) {
-  switch (version) {
-    case 1:
-      return " (v1 files hold one bare flat learner; load them with "
-             "load_learner — pre-v3 policy files also predate the "
-             "serialized actor RNG stream, so re-save with "
-             "save_megh_policy to get an exact-restore checkpoint)";
-    case 2:
-      return " (v2 files hold the pre-RNG hierarchical container; they "
-             "predate the serialized per-pod RNG streams — re-save with "
-             "save_hierarchical_policy)";
-    case 3:
-      return " (v3 files hold a flat MeghPolicy; load them with "
-             "load_megh_policy)";
-    case 4:
-      return " (v4 files hold a hierarchical per-pod container; load "
-             "them with load_hierarchical_policy)";
-    default:
-      return "";
-  }
 }
 
 void write_vector(std::ostream& out, const char* tag, const SparseVector& v) {
@@ -108,102 +80,6 @@ SparseVector read_vector(std::istream& in, const char* tag,
   return v;
 }
 
-/// The v1 learner body (everything after the magic line).
-void write_learner_body(std::ostream& out, const LspiLearner& learner) {
-  out << "dim " << learner.dim() << " gamma "
-      << strf("%.17g", learner.gamma()) << '\n';
-  write_vector(out, "z", learner.z());
-  write_vector(out, "theta", learner.theta());
-
-  const SparseMatrix& B = learner.B();
-  // Diagonal (dense but typically constant-dominated): store only entries,
-  // one per line; then off-diagonal triplets.
-  out << "Bdiag " << B.dim() << '\n';
-  for (std::int64_t i = 0; i < B.dim(); ++i) {
-    out << strf("%.17g", B.get(i, i)) << '\n';
-  }
-  out << "Boffdiag " << B.offdiag_nnz() << '\n';
-  // Walk rows via row views (storage internals are private). Rows come out
-  // sorted by column, so checkpoints are deterministic and reloading them
-  // hits SparseVector/SparseMatrix's fast sorted-append path.
-  SparseVector row(B.dim());
-  for (std::int64_t r = 0; r < B.dim(); ++r) {
-    B.row_into(r, row);
-    for (const auto& [c, value] : row.entries()) {
-      if (c == r) continue;
-      out << r << ' ' << c << ' ' << strf("%.17g", value) << '\n';
-    }
-  }
-}
-
-struct LearnerBody {
-  std::int64_t dim;
-  double gamma;
-  SparseMatrix B;
-  SparseVector z;
-  SparseVector theta;
-};
-
-LearnerBody read_learner_body(std::istream& in, const std::string& context) {
-  std::string key;
-  std::int64_t dim = 0;
-  double gamma = 0.0;
-  if (!(in >> key >> dim) || key != "dim" || !(in >> key >> gamma) ||
-      key != "gamma") {
-    throw IoError("checkpoint: malformed header in " + context);
-  }
-  MEGH_REQUIRE(dim > 0, "checkpoint: non-positive dimension");
-  MEGH_REQUIRE(gamma >= 0.0 && gamma < 1.0, "checkpoint: gamma out of range");
-
-  SparseVector z = read_vector(in, "z", dim, context);
-  SparseVector theta = read_vector(in, "theta", dim, context);
-
-  std::int64_t diag_count = 0;
-  if (!(in >> key >> diag_count) || key != "Bdiag" || diag_count != dim) {
-    throw IoError("checkpoint: malformed Bdiag section in " + context);
-  }
-  SparseMatrix B(dim, 0.0);
-  for (std::int64_t i = 0; i < dim; ++i) {
-    double value = 0.0;
-    if (!(in >> value)) {
-      throw IoError("checkpoint: truncated Bdiag in " + context);
-    }
-    B.set(i, i, value);
-  }
-  std::size_t offdiag = 0;
-  if (!(in >> key >> offdiag) || key != "Boffdiag") {
-    throw IoError("checkpoint: malformed Boffdiag section in " + context);
-  }
-  // Triplets come out of the writer row-major with ascending columns, i.e.
-  // strictly lexicographically ascending (r, c); demand that order so a
-  // corrupted file cannot silently overwrite an earlier entry.
-  std::int64_t prev_r = -1, prev_c = -1;
-  for (std::size_t k = 0; k < offdiag; ++k) {
-    std::int64_t r = 0, c = 0;
-    double value = 0.0;
-    if (!(in >> r >> c >> value)) {
-      throw IoError("checkpoint: truncated Boffdiag in " + context);
-    }
-    MEGH_REQUIRE(r >= 0 && r < dim && c >= 0 && c < dim,
-                 "checkpoint: B index out of range");
-    if (r == c) {
-      throw IoError("checkpoint: diagonal entry (" + std::to_string(r) +
-                    ", " + std::to_string(c) + ") in Boffdiag section in " +
-                    context);
-    }
-    if (r < prev_r || (r == prev_r && c <= prev_c)) {
-      throw IoError("checkpoint: duplicate or unsorted Boffdiag entry (" +
-                    std::to_string(r) + ", " + std::to_string(c) + ") in " +
-                    context);
-    }
-    prev_r = r;
-    prev_c = c;
-    B.set(r, c, value);
-  }
-  return LearnerBody{dim, gamma, std::move(B), std::move(z),
-                     std::move(theta)};
-}
-
 struct PolicyLine {
   double temperature;
   double baseline;
@@ -244,182 +120,140 @@ void read_rng_line(std::istream& in, Rng& rng, const std::string& context) {
   }
 }
 
+/// One pod's B: the materialized diagonal rows against the lazy default,
+/// then the off-diagonal triplets, both strictly ascending.
+void write_pod_matrix(std::ostream& out, const SparseMatrix& B) {
+  // Only materialized rows — a virgin row reads as default_diag·I, and at
+  // pod dims ~10⁷ writing a dense diagonal would turn a kilobyte
+  // checkpoint into a multi-hundred-megabyte one.
+  const std::vector<SparseMatrix::Index> live = B.live_row_indices();
+  out << "Bdiag " << live.size() << " default "
+      << strf("%.17g", B.default_diag()) << '\n';
+  for (const SparseMatrix::Index r : live) {
+    out << r << ' ' << strf("%.17g", B.get(r, r)) << '\n';
+  }
+  out << "Boffdiag " << B.offdiag_nnz() << '\n';
+  // Rows come out sorted by column, so checkpoints are deterministic and
+  // reloading them hits SparseMatrix's fast sorted-append path.
+  SparseVector row(B.dim());
+  for (const SparseMatrix::Index r : live) {
+    B.row_into(r, row);
+    for (const auto& [c, value] : row.entries()) {
+      if (c == r) continue;
+      out << r << ' ' << c << ' ' << strf("%.17g", value) << '\n';
+    }
+  }
+}
+
+SparseMatrix read_pod_matrix(std::istream& in, std::int64_t dim,
+                             const std::string& context) {
+  std::string key;
+  std::int64_t live = 0;
+  double default_diag = 0.0;
+  if (!(in >> key >> live) || key != "Bdiag" ||
+      !(in >> key >> default_diag) || key != "default" || live < 0 ||
+      live > dim) {
+    throw IoError("checkpoint: malformed Bdiag section in " + context);
+  }
+  SparseMatrix B(dim, default_diag);
+  std::int64_t prev = -1;
+  for (std::int64_t k = 0; k < live; ++k) {
+    std::int64_t r = 0;
+    double value = 0.0;
+    if (!(in >> r >> value)) {
+      throw IoError("checkpoint: truncated Bdiag in " + context);
+    }
+    MEGH_REQUIRE(r >= 0 && r < dim,
+                 "checkpoint: Bdiag index out of range in " + context);
+    if (r <= prev) {
+      throw IoError("checkpoint: duplicate or unsorted Bdiag row " +
+                    std::to_string(r) + " in " + context);
+    }
+    prev = r;
+    B.set(r, r, value);
+  }
+  std::size_t offdiag = 0;
+  if (!(in >> key >> offdiag) || key != "Boffdiag") {
+    throw IoError("checkpoint: malformed Boffdiag section in " + context);
+  }
+  // Triplets come out of the writer row-major with ascending columns, i.e.
+  // strictly lexicographically ascending (r, c); demand that order so a
+  // corrupted file cannot silently overwrite an earlier entry.
+  std::int64_t prev_r = -1, prev_c = -1;
+  for (std::size_t k = 0; k < offdiag; ++k) {
+    std::int64_t r = 0, c = 0;
+    double value = 0.0;
+    if (!(in >> r >> c >> value)) {
+      throw IoError("checkpoint: truncated Boffdiag in " + context);
+    }
+    MEGH_REQUIRE(r >= 0 && r < dim && c >= 0 && c < dim,
+                 "checkpoint: B index out of range in " + context);
+    if (r == c) {
+      throw IoError("checkpoint: diagonal entry (" + std::to_string(r) +
+                    ", " + std::to_string(c) + ") in Boffdiag section in " +
+                    context);
+    }
+    if (r < prev_r || (r == prev_r && c <= prev_c)) {
+      throw IoError("checkpoint: duplicate or unsorted Boffdiag entry (" +
+                    std::to_string(r) + ", " + std::to_string(c) + ") in " +
+                    context);
+    }
+    prev_r = r;
+    prev_c = c;
+    B.set(r, c, value);
+  }
+  return B;
+}
+
 }  // namespace
 
-void save_learner(const LspiLearner& learner,
-                  const std::filesystem::path& path) {
-  write_file_atomic(path, [&](std::ostream& out) {
-    out << kMagicV1 << '\n';
-    write_learner_body(out, learner);
-  });
-}
-
-LspiLearner load_learner(const std::filesystem::path& path, double delta,
-                         int max_update_support) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open checkpoint: " + path.string());
-  const int version = read_checkpoint_version(in, path.string());
-  if (version != 1 && version != 3) {
-    throw ConfigError(
-        strf("checkpoint %s is format v%d, but load_learner reads the flat "
-             "v1/v3 learner formats%s",
-             path.string().c_str(), version, version_hint(version).c_str()));
-  }
-  LearnerBody body = read_learner_body(in, path.string());
-
-  // Everything after the Boffdiag section must be either end-of-file or
-  // the policy tail save_megh_policy appends (a "policy" line, plus an
-  // "rng" line in v3). Anything else is a sign the counts above were
-  // corrupted (a short nnz silently drops learned state) or the file was
-  // concatenated/damaged.
-  std::string tail;
-  if (in >> tail) {
-    if (tail != "policy") {
-      throw IoError("checkpoint: trailing data '" + tail +
-                    "' after Boffdiag section in " + path.string());
-    }
-    std::string rest;
-    std::getline(in, rest);
-    if (in >> tail) {
-      if (version != 3 || tail != "rng") {
-        throw IoError("checkpoint: trailing data '" + tail +
-                      "' after policy line in " + path.string());
-      }
-      std::getline(in, rest);
-      if (in >> tail) {
-        throw IoError("checkpoint: trailing data '" + tail +
-                      "' after rng line in " + path.string());
-      }
-    }
-  }
-
-  LspiLearner learner(body.dim, body.gamma, delta, max_update_support);
-  learner.restore(std::move(body.B), std::move(body.z),
-                  std::move(body.theta));
-  return learner;
-}
-
-void write_megh_policy(std::ostream& out, const MeghPolicy& policy) {
-  out << kMagicV3 << '\n';
-  write_learner_body(out, policy.learner());
+void write_megh_checkpoint(std::ostream& out, const MeghPolicy& policy) {
+  MEGH_REQUIRE(!policy.pods_.empty(), "Megh checkpoint before begin()");
+  out << kMagic << '\n';
+  out << "pods " << policy.num_pods() << " hosts "
+      << policy.basis_->num_hosts() << " vms " << policy.basis_->num_vms()
+      << '\n';
   write_policy_line(out, policy.temperature(), policy.cost_baseline(),
                     policy.baseline_initialized());
-  write_rng_line(out, policy.rng());
-}
-
-void read_megh_policy(std::istream& in, MeghPolicy& policy,
-                      const std::string& context) {
-  const int version = read_checkpoint_version(in, context);
-  if (version != 3) {
-    throw ConfigError(
-        strf("checkpoint %s is format v%d, but load_megh_policy reads the "
-             "v3 flat policy format%s",
-             context.c_str(), version, version_hint(version).c_str()));
-  }
-  LearnerBody body = read_learner_body(in, context);
-  LspiLearner& learner = policy.mutable_learner();
-  MEGH_REQUIRE(body.dim == learner.dim(),
-               strf("checkpoint dimension %lld does not match policy %lld",
-                    static_cast<long long>(body.dim),
-                    static_cast<long long>(learner.dim())));
-  learner.restore(std::move(body.B), std::move(body.z),
-                  std::move(body.theta));
-
-  const PolicyLine pl = read_policy_line(in, context);
-  policy.set_temperature(pl.temperature);
-  policy.set_cost_baseline(pl.baseline, pl.initialized);
-  read_rng_line(in, policy.mutable_rng(), context);
-}
-
-void save_megh_policy(const MeghPolicy& policy,
-                      const std::filesystem::path& path) {
-  write_file_atomic(path, [&](std::ostream& out) {
-    write_megh_policy(out, policy);
-  });
-}
-
-void load_megh_policy(MeghPolicy& policy, const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open checkpoint: " + path.string());
-  read_megh_policy(in, policy, path.string());
-  std::string tail;
-  if (in >> tail) {
-    throw IoError("checkpoint: trailing data '" + tail + "' after rng line "
-                  "in " + path.string());
-  }
-}
-
-void save_hierarchical_policy(const HierarchicalMeghPolicy& policy,
-                              const std::filesystem::path& path) {
-  MEGH_REQUIRE(!policy.pods_.empty(),
-               "save_hierarchical_policy before begin()");
-  write_file_atomic(path, [&](std::ostream& out) {
-    out << kMagicV4 << '\n';
-    out << "pods " << policy.num_pods() << " hosts "
-        << policy.basis_->num_hosts() << " vms " << policy.basis_->num_vms()
-        << '\n';
-    write_policy_line(out, policy.temperature(), policy.cost_baseline(),
-                      policy.baseline_initialized());
-    for (int p = 0; p < policy.num_pods(); ++p) {
-      const auto& pod = policy.pods_[static_cast<std::size_t>(p)];
-      const LspiLearner& learner = *pod.learner;
-      out << "pod " << p << " begin " << pod.host_begin << " end "
-          << pod.host_end << " cap " << pod.cap << " next " << pod.next_slot
-          << " gamma " << strf("%.17g", learner.gamma()) << '\n';
-      write_rng_line(out, pod.rng);
-      int occupied = 0;
-      for (int slot = 0; slot < pod.next_slot; ++slot) {
-        if (pod.vm_of_slot[static_cast<std::size_t>(slot)] >= 0) ++occupied;
-      }
-      out << "slots " << occupied << '\n';
-      for (int slot = 0; slot < pod.next_slot; ++slot) {
-        const int vm = pod.vm_of_slot[static_cast<std::size_t>(slot)];
-        if (vm >= 0) out << slot << ' ' << vm << '\n';
-      }
-      write_vector(out, "z", learner.z());
-      write_vector(out, "theta", learner.theta());
-      // Only materialized rows — a virgin row reads as default_diag·I, and
-      // at pod dims ~10⁷ writing a dense diagonal would turn a kilobyte
-      // checkpoint into a multi-hundred-megabyte one.
-      const SparseMatrix& B = learner.B();
-      const std::vector<SparseMatrix::Index> live = B.live_row_indices();
-      out << "Bdiag " << live.size() << " default "
-          << strf("%.17g", B.default_diag()) << '\n';
-      for (const SparseMatrix::Index r : live) {
-        out << r << ' ' << strf("%.17g", B.get(r, r)) << '\n';
-      }
-      out << "Boffdiag " << B.offdiag_nnz() << '\n';
-      SparseVector row(B.dim());
-      for (const SparseMatrix::Index r : live) {
-        B.row_into(r, row);
-        for (const auto& [c, value] : row.entries()) {
-          if (c == r) continue;
-          out << r << ' ' << c << ' ' << strf("%.17g", value) << '\n';
-        }
-      }
+  for (int p = 0; p < policy.num_pods(); ++p) {
+    const auto& pod = policy.pods_[static_cast<std::size_t>(p)];
+    const LspiLearner& learner = *pod.learner;
+    out << "pod " << p << " begin " << pod.host_begin << " end "
+        << pod.host_end << " cap " << pod.cap << " next " << pod.next_slot
+        << " gamma " << strf("%.17g", learner.gamma()) << '\n';
+    write_rng_line(out, pod.rng);
+    int occupied = 0;
+    for (int slot = 0; slot < pod.next_slot; ++slot) {
+      if (pod.vm_of_slot[static_cast<std::size_t>(slot)] >= 0) ++occupied;
     }
-    out << "end\n";
-  });
+    out << "slots " << occupied << '\n';
+    for (int slot = 0; slot < pod.next_slot; ++slot) {
+      const int vm = pod.vm_of_slot[static_cast<std::size_t>(slot)];
+      if (vm >= 0) out << slot << ' ' << vm << '\n';
+    }
+    write_vector(out, "z", learner.z());
+    write_vector(out, "theta", learner.theta());
+    write_pod_matrix(out, learner.B());
+  }
+  out << "end\n";
 }
 
-void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
-                              const std::filesystem::path& path) {
-  MEGH_REQUIRE(!policy.pods_.empty(),
-               "load_hierarchical_policy before begin()");
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open checkpoint: " + path.string());
-  const int version = read_checkpoint_version(in, path.string());
-  if (version != 4) {
-    throw ConfigError(
-        strf("checkpoint %s is format v%d, but load_hierarchical_policy "
-             "reads the v4 per-pod container%s",
-             path.string().c_str(), version, version_hint(version).c_str()));
+void read_megh_checkpoint(std::istream& in, MeghPolicy& policy,
+                          const std::string& context) {
+  MEGH_REQUIRE(!policy.pods_.empty(), "Megh checkpoint load before begin()");
+  const int version = read_checkpoint_version(in, context);
+  if (version != kVersion) {
+    throw ConfigError(strf(
+        "checkpoint %s is format v%d; this build reads only v%d, the "
+        "per-pod container (v1 bare learners, v2 pre-RNG pod containers "
+        "and v3 flat policies are no longer read: save the policy again)",
+        context.c_str(), version, kVersion));
   }
   std::string key;
   int pods = 0, hosts = 0, vms = 0;
   if (!(in >> key >> pods) || key != "pods" || !(in >> key >> hosts) ||
       key != "hosts" || !(in >> key >> vms) || key != "vms") {
-    throw IoError("checkpoint: malformed header in " + path.string());
+    throw IoError("checkpoint: malformed header in " + context);
   }
   MEGH_REQUIRE(pods == policy.num_pods() &&
                    hosts == policy.basis_->num_hosts() &&
@@ -428,11 +262,11 @@ void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
                     "match the policy (%d pods, %d hosts, %d VMs)",
                     pods, hosts, vms, policy.num_pods(),
                     policy.basis_->num_hosts(), policy.basis_->num_vms()));
-  const PolicyLine pl = read_policy_line(in, path.string());
+  const PolicyLine pl = read_policy_line(in, context);
 
-  // All VM → pod/slot assignments are rebuilt from the file; entries of
-  // VMs the checkpoint does not map stay unassigned and are re-slotted by
-  // the next membership rebuild.
+  // All VM → pod/slot assignments are rebuilt from the checkpoint; entries
+  // of VMs it does not map stay unassigned and are re-slotted by the next
+  // membership rebuild, which every pod runs at its next decide.
   std::fill(policy.pod_of_vm_.begin(), policy.pod_of_vm_.end(), -1);
   std::fill(policy.slot_of_vm_.begin(), policy.slot_of_vm_.end(), -1);
 
@@ -445,18 +279,19 @@ void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
         !(in >> key >> cap) || key != "cap" || !(in >> key >> next) ||
         key != "next" || !(in >> key >> gamma) || key != "gamma") {
       throw IoError(strf("checkpoint: malformed pod %d header in %s", p,
-                         path.string().c_str()));
+                         context.c_str()));
     }
     MEGH_REQUIRE(pod_id == p, "checkpoint: pods out of order");
     MEGH_REQUIRE(begin == pod.host_begin && end == pod.host_end,
                  strf("checkpoint pod %d hosts [%d, %d) does not match the "
-                      "policy's shard [%d, %d)",
+                      "policy's pod [%d, %d)",
                       p, begin, end, pod.host_begin, pod.host_end));
     MEGH_REQUIRE(cap > 0 && next >= 0 && next <= cap,
                  "checkpoint: pod slot counts out of range");
     MEGH_REQUIRE(gamma >= 0.0 && gamma < 1.0,
                  "checkpoint: gamma out of range");
-    read_rng_line(in, pod.rng, path.string() + strf(" (pod %d)", p));
+    const std::string pod_context = context + strf(" (pod %d)", p);
+    read_rng_line(in, pod.rng, pod_context);
 
     pod.cap = cap;
     pod.next_slot = next;
@@ -465,16 +300,13 @@ void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
     int occupied = 0;
     if (!(in >> key >> occupied) || key != "slots" || occupied < 0 ||
         occupied > next) {
-      throw IoError(strf("checkpoint: malformed slots section of pod %d in "
-                         "%s",
-                         p, path.string().c_str()));
+      throw IoError("checkpoint: malformed slots section in " + pod_context);
     }
     int prev_slot = -1;
     for (int k = 0; k < occupied; ++k) {
       int slot = 0, vm = 0;
       if (!(in >> slot >> vm)) {
-        throw IoError(strf("checkpoint: truncated slot map of pod %d in %s",
-                           p, path.string().c_str()));
+        throw IoError("checkpoint: truncated slot map in " + pod_context);
       }
       MEGH_REQUIRE(slot > prev_slot && slot < next,
                    "checkpoint: slot map out of order or out of range");
@@ -498,89 +330,51 @@ void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
 
     const std::int64_t dim = static_cast<std::int64_t>(cap) *
                              static_cast<std::int64_t>(end - begin);
-    const std::string context =
-        path.string() + strf(" (pod %d)", p);
-    SparseVector z = read_vector(in, "z", dim, context);
-    SparseVector theta = read_vector(in, "theta", dim, context);
-
-    std::int64_t live = 0;
-    double default_diag = 0.0;
-    if (!(in >> key >> live) || key != "Bdiag" ||
-        !(in >> key >> default_diag) || key != "default" || live < 0 ||
-        live > dim) {
-      throw IoError("checkpoint: malformed Bdiag section in " + context);
-    }
-    SparseMatrix B(dim, default_diag);
-    std::int64_t prev = -1;
-    for (std::int64_t k = 0; k < live; ++k) {
-      std::int64_t r = 0;
-      double value = 0.0;
-      if (!(in >> r >> value)) {
-        throw IoError("checkpoint: truncated Bdiag in " + context);
-      }
-      MEGH_REQUIRE(r > prev && r < dim,
-                   "checkpoint: Bdiag out of order or out of range in " +
-                       context);
-      prev = r;
-      B.set(r, r, value);
-    }
-    std::size_t offdiag = 0;
-    if (!(in >> key >> offdiag) || key != "Boffdiag") {
-      throw IoError("checkpoint: malformed Boffdiag section in " + context);
-    }
-    std::int64_t prev_r = -1, prev_c = -1;
-    for (std::size_t k = 0; k < offdiag; ++k) {
-      std::int64_t r = 0, c = 0;
-      double value = 0.0;
-      if (!(in >> r >> c >> value)) {
-        throw IoError("checkpoint: truncated Boffdiag in " + context);
-      }
-      MEGH_REQUIRE(r >= 0 && r < dim && c >= 0 && c < dim && r != c,
-                   "checkpoint: B index out of range in " + context);
-      if (r < prev_r || (r == prev_r && c <= prev_c)) {
-        throw IoError("checkpoint: duplicate or unsorted Boffdiag entry in " +
-                      context);
-      }
-      prev_r = r;
-      prev_c = c;
-      B.set(r, c, value);
-    }
+    SparseVector z = read_vector(in, "z", dim, pod_context);
+    SparseVector theta = read_vector(in, "theta", dim, pod_context);
+    SparseMatrix B = read_pod_matrix(in, dim, pod_context);
 
     // The begun learner's dimensions may differ (its cap came from the
-    // current placement, the file's from the saved one): rebuild at the
-    // file's shape, then restore the exact state.
+    // current placement, the checkpoint's from the saved one): rebuild at
+    // the saved shape, then restore the exact state.
     pod.learner = std::make_unique<LspiLearner>(
-        dim, gamma, policy.config_.base.delta,
-        policy.config_.base.max_update_support);
+        dim, gamma, policy.config_.delta, policy.config_.max_update_support);
     pod.learner->restore(std::move(B), std::move(z), std::move(theta));
 
     // Slot-indexed scratch follows the restored capacity; transient
     // recovery state does not survive the process boundary.
     pod.pending.clear();
-    pod.staged_rollback = false;
-    pod.candidates_of_slot.assign(static_cast<std::size_t>(cap), {});
-    for (std::vector<std::size_t>& list : pod.candidates_of_slot) {
-      list.reserve(static_cast<std::size_t>(
-          policy.config_.base.candidates.targets_per_source + 3));
-    }
-    pod.slot_used.assign(static_cast<std::size_t>(cap), 0);
-    pod.touched_slots.clear();
-    pod.retries.clear();
-    pod.checkpoint = HierarchicalMeghPolicy::CriticSnapshot{};
-    pod.faults_last_step = 0;
+    policy.reset_pod_scratch(pod);
+    pod.membership_dirty = true;
   }
   std::string tail;
   if (!(in >> tail) || tail != "end") {
-    throw IoError("checkpoint: missing end marker in " + path.string());
+    throw IoError("checkpoint: missing end marker in " + context);
   }
-  if (in >> tail) {
-    throw IoError("checkpoint: trailing data '" + tail + "' in " +
-                  path.string());
-  }
-  policy.set_temperature(pl.temperature);
-  policy.set_cost_baseline(pl.baseline, pl.initialized);
+  policy.selector_.set_temperature(pl.temperature);
+  policy.cost_baseline_ = pl.baseline;
+  policy.baseline_initialized_ = pl.initialized;
   policy.emitted_.clear();
   policy.has_pending_cost_ = false;
+}
+
+void save_megh_checkpoint(const MeghPolicy& policy,
+                          const std::filesystem::path& path) {
+  write_file_atomic(path, [&](std::ostream& out) {
+    write_megh_checkpoint(out, policy);
+  });
+}
+
+void load_megh_checkpoint(MeghPolicy& policy,
+                          const std::filesystem::path& path) {
+  std::ifstream in(path);
+  if (!in) throw IoError("cannot open checkpoint: " + path.string());
+  read_megh_checkpoint(in, policy, path.string());
+  std::string tail;
+  if (in >> tail) {
+    throw IoError("checkpoint: trailing data '" + tail + "' after end "
+                  "marker in " + path.string());
+  }
 }
 
 }  // namespace megh

@@ -1,52 +1,21 @@
-// Hierarchical two-level Megh: one pod-local LSPI learner per step shard.
+// Hierarchical Megh: the Megh engine (core/megh_policy.hpp) on the step
+// executor's pod plan — one learner per fat-tree pod, or per 256-host block
+// without a fabric — instead of flat Megh's single fleet-wide learner.
 //
-// Flat Megh projects onto d = N × M basis vectors — at cluster scale
+// Flat Megh projects onto d = N × M basis vectors; at cluster scale
 // (100k PMs × 1M VMs) that is d ~ 10¹¹, and even the lazily-materialized
-// critic pays for it in slot-map address space and in serial decide time.
-// The fat tree gives the natural factorization: a pod's VMs migrate mostly
-// inside their pod (pack_local, local probes already encode this), so the
-// hierarchical policy gives every shard of the step's ShardPlan — a pod on
-// a fabric, a 256-host block otherwise — its own learner over the pod-local
-// space d_p = cap_p × M_p, where M_p is the pod's host-range width and
-// cap_p is a slotted VM capacity (current population plus headroom).
-// Total learner state is Σ_p O(N_p × M_p) ≈ d / P instead of O(N × M),
-// and every per-pod stage — candidate generation, Q evaluation, the LSPI
-// critic update, masking, rollback, checkpoint refresh — runs in the pod
-// phase, fanned across StepObservation::exec with each learner owned by
-// exactly one shard (lock-free, no atomics on the learning path).
-//
-// A thin serial coordinator then makes the actual Boltzmann draws in a
-// fixed pod-major order, arbitrating the single global migration budget
-// (⌈2%·N⌉). Each draw consumes the *owning pod's* RNG stream, and every
-// stream is advanced deterministically (generation in the pod phase, draws
-// in the serial phase), so decisions are bit-identical at any
-// SimulationConfig::jobs. On a fabric with a single (clipped) pod the
-// domain spans the whole fleet, slot k is VM k, and the pod action index
-// slot·M + h equals the flat basis index vm·M + h — the policy reproduces
-// flat MeghPolicy's decisions bit for bit (with the default delta = 1.0;
-// delta <= 0 selects δ = d_p, which differs from flat's δ = N·M).
-//
-// VM churn is handled by per-pod slot maps: a VM migrating into a pod
-// takes the smallest free slot (departures recycle theirs), so learner
-// dimensions never change at runtime. Only a VM's current pod ever writes
-// its global pod/slot entries, keeping the parallel rebuild race-free.
+// critic pays for it in slot-map address space and serial decide time. A
+// pod's VMs migrate mostly inside their pod (pack_local and the local
+// probes already encode this), so per-pod learners keep total state near
+// d / P and let the pod phase fan out across StepObservation::exec. The
+// two-level split follows "Scalable RL for VM Scheduling" (arxiv
+// 2503.00537); flat Megh is its one-pod case.
 #pragma once
 
-#include <cstdint>
-#include <filesystem>
 #include <memory>
-#include <span>
-#include <vector>
 
-#include "common/parallel.hpp"
-#include "core/basis.hpp"
-#include "core/boltzmann.hpp"
-#include "core/candidates.hpp"
-#include "core/lspi.hpp"
 #include "core/megh_policy.hpp"
 #include "sim/network.hpp"
-#include "sim/policy.hpp"
-#include "sim/policy_stats.hpp"
 
 namespace megh {
 
@@ -54,169 +23,16 @@ struct HierarchicalMeghConfig {
   /// Learner/actor/recovery knobs, applied per pod. `base.delta <= 0`
   /// selects the paper's δ = d_p per-pod initialization.
   MeghConfig base;
-  /// The fabric whose pods become the learner shards. May be null: the
-  /// policy then shards over kDefaultShardHosts-sized host blocks (same
-  /// fallback the step executor uses), which keeps the memory and
-  /// parallelism story without a topology.
+  /// The fabric whose pods become the learners. May be null: the policy
+  /// then shards over kDefaultShardHosts-sized host blocks (the same
+  /// fallback the step executor uses).
   std::shared_ptr<const FatTreeTopology> network;
-  /// Slot headroom per pod: cap_p = N_p(begin) + max(min, ⌈frac·N_p⌉).
-  /// A pod whose population outgrows cap_p stops offering the overflow
-  /// VMs as candidates until churn frees slots (counted in
-  /// `slot_overflows`); the engine can still evacuate them.
-  int pod_slot_headroom_min = 16;
-  double pod_slot_headroom_fraction = 0.125;
-  /// Emit pod<k>.* stat keys only up to this many pods (the aggregate
-  /// keys are always emitted; PolicyStats::kCapacity bounds the table).
-  int per_pod_stats_limit = 16;
 };
 
-class HierarchicalMeghPolicy : public MigrationPolicy {
+class HierarchicalMeghPolicy : public MeghPolicy {
  public:
-  explicit HierarchicalMeghPolicy(const HierarchicalMeghConfig& config = {});
-
-  std::string name() const override { return "HierMegh"; }
-  void begin(const Datacenter& dc, const CostConfig& cost,
-             double interval_s) override;
-  /// Hot path. The per-pod phase (membership rebuild, candidate
-  /// generation, Q gather, LSPI update, weights) fans out over obs.exec
-  /// when its plan matches ours; the draw coordinator stays serial.
-  void decide_into(const StepObservation& obs,
-                   std::vector<MigrationAction>& out) override;
-  void observe_cost(double step_cost) override;
-  void observe_outcomes(std::span<const MigrationOutcome> outcomes) override;
-  /// Aggregates across pods under flat Megh's key names, plus "pods",
-  /// "slot_overflows" and pod<k>.{qtable_nnz,lspi_updates,rollbacks}.
-  /// Every key is interned at begin(); a debug build asserts that stats()
-  /// itself interns nothing (the allocation-free-step guarantee).
-  void stats(PolicyStats& out) const override;
-
-  int num_pods() const { return static_cast<int>(pods_.size()); }
-  const ShardPlan& plan() const { return plan_; }
-  const LspiLearner& pod_learner(int pod) const;
-  LspiLearner& mutable_pod_learner(int pod);
-  double temperature() const { return selector_.temperature(); }
-
-  // --- checkpointing hooks (see core/checkpoint.hpp) ---
-  void set_temperature(double temp) { selector_.set_temperature(temp); }
-  double cost_baseline() const { return cost_baseline_; }
-  bool baseline_initialized() const { return baseline_initialized_; }
-  void set_cost_baseline(double baseline, bool initialized) {
-    cost_baseline_ = baseline;
-    baseline_initialized_ = initialized;
-  }
-  /// Pod host range and slot map, read by tests and the checkpoint writer.
-  int pod_host_begin(int pod) const;
-  int pod_host_end(int pod) const;
-  int pod_slot_capacity(int pod) const;
-  /// slot → VM id (-1 = free), valid for slots < pod_slot_capacity(pod).
-  std::span<const int> pod_vm_of_slot(int pod) const;
-
-  friend void save_hierarchical_policy(const HierarchicalMeghPolicy& policy,
-                                       const std::filesystem::path& path);
-  friend void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
-                                       const std::filesystem::path& path);
-
- private:
-  /// In-memory critic snapshot for per-pod burst rollback.
-  struct CriticSnapshot {
-    SparseMatrix B;
-    SparseVector z;
-    SparseVector theta;
-    bool valid = false;
-  };
-
-  /// An aborted migration waiting to be re-requested (pod-local queue).
-  struct PendingRetry {
-    int vm;
-    int source;
-    int target;
-    int due_step;
-    int attempt;
-  };
-
-  /// One record per non-no-op action emitted last step, in emission order
-  /// (= the engine's outcome order). pending_slot indexes the owning
-  /// pod's pending list.
-  struct EmittedAction {
-    int vm;
-    int source;
-    int target;
-    int pod;
-    std::size_t pending_slot;
-    int attempt;
-  };
-
-  /// Everything one pod owns. Mutated only by its own shard during the
-  /// parallel phase and by the serial coordinator afterwards.
-  struct Pod {
-    int host_begin = 0;
-    int host_end = 0;
-    // --- slot map (VM ↔ learner row block) ---
-    int cap = 0;        // slot capacity; learner dim = cap * width
-    int next_slot = 0;  // slots [0, next_slot) have been handed out
-    std::vector<int> vm_of_slot;  // -1 = free
-    std::vector<int> free_slots;  // recycled slots, sorted descending
-    std::vector<int> members;     // this step's VMs, ascending
-    // --- learning state ---
-    std::unique_ptr<LspiLearner> learner;
-    Rng rng{0};
-    std::vector<std::int64_t> pending;  // pod-local action indices
-    bool staged_rollback = false;       // decided serially pre-fan-out
-    // --- per-step scratch (all capacity-stable after begin) ---
-    CandidateScratch cands;
-    std::vector<std::int64_t> pod_idx;  // candidate → pod-local index
-    std::vector<double> q;
-    std::vector<double> weights;
-    std::vector<std::vector<std::size_t>> candidates_of_slot;
-    std::vector<int> touched_slots;
-    std::vector<std::uint8_t> slot_used;
-    std::vector<std::size_t> subset;
-    // --- chaos recovery ---
-    std::vector<PendingRetry> retries;
-    CriticSnapshot checkpoint;
-    int faults_last_step = 0;
-    long long rollbacks = 0;
-    long long masked_candidates = 0;
-    long long slot_overflows = 0;
-  };
-
-  std::int64_t pod_index(const Pod& pod, int vm, int host) const {
-    const std::int64_t slot = slot_of_vm_[static_cast<std::size_t>(vm)];
-    MEGH_ASSERT(slot >= 0 && slot < pod.cap, "VM has no slot in its pod");
-    return slot * (pod.host_end - pod.host_begin) + (host - pod.host_begin);
-  }
-
-  void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
-  void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
-                     double share);
-  void intern_stat_keys();
-
-  HierarchicalMeghConfig config_;
-  BoltzmannSelector selector_;
-  std::unique_ptr<ActionBasis> basis_;  // global indices (dedup/telemetry)
-  ShardPlan plan_ = ShardPlan::single(1);  // rebuilt by begin()
-  std::vector<Pod> pods_;
-  // vm → owning pod / slot. Written only by the VM's current pod during
-  // the parallel rebuild, so concurrent pod phases never race.
-  std::vector<std::int32_t> pod_of_vm_;
-  std::vector<std::int32_t> slot_of_vm_;
-  double beta_ = 0.7;
-  int migration_budget_ = 1;
-
-  double pending_cost_ = 0.0;
-  bool has_pending_cost_ = false;
-  long long total_migrations_selected_ = 0;
-  double cost_baseline_ = 0.0;
-  bool baseline_initialized_ = false;
-
-  std::vector<EmittedAction> emitted_;
-  int last_step_ = -1;
-  long long faults_seen_ = 0;
-  long long retries_issued_ = 0;
-
-  // Stat keys, interned once at begin(). stats() only reads these.
-  std::vector<StatKey> aggregate_keys_;
-  std::vector<StatKey> pod_keys_;  // [pod * 3 + {nnz, updates, rollbacks}]
+  explicit HierarchicalMeghPolicy(const HierarchicalMeghConfig& config = {})
+      : MeghPolicy(config.base, config.network) {}
 };
 
 }  // namespace megh

@@ -2,16 +2,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error.hpp"
+#include "sim/sharding.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace megh {
 
+namespace {
+
+/// Slot headroom of a pod that does not span the fleet:
+/// cap_p = N_p(begin) + max(kPodSlotHeadroomMin, ⌈fraction · N_p⌉). A pod
+/// whose population outgrows cap_p stops offering the overflow VMs as
+/// candidates until churn frees slots (counted in `slot_overflows`); the
+/// engine can still evacuate them.
+constexpr int kPodSlotHeadroomMin = 16;
+constexpr double kPodSlotHeadroomFraction = 0.125;
+/// pod<k>.* stat keys are emitted for at most this many pods (the
+/// aggregate keys always are; PolicyStats::kCapacity bounds the table).
+constexpr int kPerPodStatsLimit = 16;
+
+/// Decorrelate the per-pod RNG streams while keeping pod 0's stream the
+/// configured seed — flat Megh's single stream.
+std::uint64_t pod_seed(std::uint64_t seed, int pod) {
+  return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(pod));
+}
+
+bool plans_match(const ShardPlan& a, const ShardPlan& b) {
+  if (a.num_shards() != b.num_shards()) return false;
+  for (int s = 0; s < a.num_shards(); ++s) {
+    if (a.shard_begin(s) != b.shard_begin(s) ||
+        a.shard_end(s) != b.shard_end(s)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 MeghPolicy::MeghPolicy(const MeghConfig& config)
-    : config_(config),
-      rng_(config.seed),
-      selector_(config.temp0, config.epsilon) {
+    : config_(config), selector_(config.temp0, config.epsilon) {
   MEGH_REQUIRE(config.max_migration_fraction > 0.0 &&
                    config.max_migration_fraction <= 1.0,
                "Megh: max_migration_fraction must lie in (0, 1]");
@@ -28,67 +60,235 @@ MeghPolicy::MeghPolicy(const MeghConfig& config)
   }
 }
 
+MeghPolicy::MeghPolicy(const MeghConfig& config,
+                       std::shared_ptr<const FatTreeTopology> network)
+    : MeghPolicy(config) {
+  per_pod_ = true;
+  network_ = std::move(network);
+}
+
+std::string MeghPolicy::name() const { return per_pod_ ? "HierMegh" : "Megh"; }
+
 void MeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
                        double interval_s) {
   (void)interval_s;
-  basis_ = std::make_unique<ActionBasis>(dc.num_vms(), dc.num_hosts());
-  learner_ = std::make_unique<LspiLearner>(basis_->dim(), config_.gamma,
-                                           config_.delta,
-                                           config_.max_update_support);
+  const int num_vms = dc.num_vms();
+  const int num_hosts = dc.num_hosts();
+  basis_ = std::make_unique<ActionBasis>(num_vms, num_hosts);
+  plan_ = per_pod_ ? make_step_shards(network_.get(), num_hosts)
+                   : ShardPlan::single(num_hosts);
   beta_ = cost.beta_overload;
   migration_budget_ = std::max(
-      1, static_cast<int>(std::ceil(config_.max_migration_fraction *
-                                    dc.num_vms())));
-  pending_actions_.clear();
-  // One draw per overloaded host + consolidation + global, each taking at
-  // most one action, all bounded by the budget (+1 for the global draw).
-  pending_actions_.reserve(static_cast<std::size_t>(migration_budget_) + 2);
+      1, static_cast<int>(
+             std::ceil(config_.max_migration_fraction * num_vms)));
+  pod_of_vm_.assign(static_cast<std::size_t>(num_vms), -1);
+  slot_of_vm_.assign(static_cast<std::size_t>(num_vms), -1);
+  host_of_vm_.resize(static_cast<std::size_t>(num_vms));
+  for (int vm = 0; vm < num_vms; ++vm) {
+    host_of_vm_[static_cast<std::size_t>(vm)] = dc.host_of(vm);
+  }
+  pod_of_host_.resize(static_cast<std::size_t>(num_hosts));
+
+  pods_.clear();
+  pods_.resize(static_cast<std::size_t>(plan_.num_shards()));
+  for (int p = 0; p < plan_.num_shards(); ++p) {
+    Pod& pod = pods_[static_cast<std::size_t>(p)];
+    pod.host_begin = plan_.shard_begin(p);
+    pod.host_end = plan_.shard_end(p);
+    const int width = pod.host_end - pod.host_begin;
+    // Initial membership: every VM currently hosted in the range, ascending
+    // (vms_on lists are per-host; a global ascending sort fixes the order).
+    pod.members.clear();
+    for (int h = pod.host_begin; h < pod.host_end; ++h) {
+      pod_of_host_[static_cast<std::size_t>(h)] = p;
+      for (int vm : dc.vms_on(h)) pod.members.push_back(vm);
+    }
+    std::sort(pod.members.begin(), pod.members.end());
+    const int population = static_cast<int>(pod.members.size());
+    // A pod spanning the fleet needs exactly N slots: no VM can arrive
+    // from another pod. That keeps flat Megh's d = N × M (and δ = d).
+    const int headroom = std::max(
+        kPodSlotHeadroomMin,
+        static_cast<int>(std::ceil(kPodSlotHeadroomFraction * population)));
+    pod.cap = plan_.num_shards() == 1 ? num_vms
+                                      : population + std::max(1, headroom);
+    pod.next_slot = 0;
+    pod.vm_of_slot.assign(static_cast<std::size_t>(pod.cap), -1);
+    pod.free_slots.clear();
+    // Ascending initial assignment: on a one-pod plan slot k is VM k,
+    // making the pod action index equal the flat basis index.
+    for (int vm : pod.members) {
+      const int slot = pod.next_slot++;
+      pod.vm_of_slot[static_cast<std::size_t>(slot)] = vm;
+      pod_of_vm_[static_cast<std::size_t>(vm)] = p;
+      slot_of_vm_[static_cast<std::size_t>(vm)] = slot;
+    }
+    pod.membership_dirty = false;
+    pod.unslotted = 0;
+    const std::int64_t dim =
+        static_cast<std::int64_t>(pod.cap) * static_cast<std::int64_t>(width);
+    pod.learner = std::make_unique<LspiLearner>(
+        dim, config_.gamma, config_.delta, config_.max_update_support);
+    pod.rng = Rng(pod_seed(config_.seed, p));
+    pod.pending.clear();
+    pod.pending.reserve(static_cast<std::size_t>(migration_budget_) + 2);
+    reset_pod_scratch(pod);
+    pod.rollbacks = 0;
+    pod.masked_candidates = 0;
+    pod.slot_overflows = 0;
+  }
+
   has_pending_cost_ = false;
   total_migrations_selected_ = 0;
   cost_baseline_ = 0.0;
   baseline_initialized_ = false;
   emitted_.clear();
   emitted_.reserve(static_cast<std::size_t>(migration_budget_) + 2);
-  retries_.clear();
-  retries_.reserve(
+  last_step_ = -1;
+  faults_seen_ = 0;
+  retries_issued_ = 0;
+  intern_stat_keys();
+}
+
+void MeghPolicy::reset_pod_scratch(Pod& pod) {
+  pod.staged_rollback = false;
+  pod.candidates_of_slot.assign(static_cast<std::size_t>(pod.cap), {});
+  // A VM is the source of at most no-op + PABFD + pack +
+  // targets_per_source random candidates; reserving that up front means a
+  // slot first drawn deep into the run still allocates nothing.
+  for (std::vector<std::size_t>& list : pod.candidates_of_slot) {
+    list.reserve(
+        static_cast<std::size_t>(config_.candidates.targets_per_source + 3));
+  }
+  pod.slot_used.assign(static_cast<std::size_t>(pod.cap), 0);
+  pod.touched_slots.clear();
+  pod.touched_slots.reserve(static_cast<std::size_t>(pod.cap));
+  pod.retries.clear();
+  pod.retries.reserve(
       static_cast<std::size_t>(migration_budget_) *
           static_cast<std::size_t>(std::max(1, config_.recovery.max_retries)) +
       4);
-  checkpoint_ = CriticSnapshot{};
-  last_step_ = -1;
-  faults_last_step_ = 0;
-  faults_seen_ = 0;
-  retries_issued_ = 0;
-  masked_candidates_ = 0;
-  rollbacks_ = 0;
+  pod.checkpoint = CriticSnapshot{};
+  pod.faults_last_step = 0;
 }
 
-void MeghPolicy::decide_into(const StepObservation& obs,
-                             std::vector<MigrationAction>& out) {
-  MEGH_REQUIRE(basis_ != nullptr, "MeghPolicy::decide before begin()");
-  MEGH_TRACE_SCOPE("megh.decide");
-  const Datacenter& dc = *obs.dc;
+void MeghPolicy::mark_membership_changes(const Datacenter& dc) {
+  // One serial pass against the hosts seen at the last decide: only a VM
+  // that changed pods (or was placed / unplaced) dirties a membership.
+  for (std::size_t vm = 0; vm < host_of_vm_.size(); ++vm) {
+    const int host = dc.host_of(static_cast<int>(vm));
+    int& seen = host_of_vm_[vm];
+    if (host == seen) continue;
+    const int from =
+        seen >= 0 ? pod_of_host_[static_cast<std::size_t>(seen)] : -1;
+    const int to = host >= 0 ? pod_of_host_[static_cast<std::size_t>(host)]
+                             : -1;
+    if (from != to) {
+      if (from >= 0) pods_[static_cast<std::size_t>(from)].membership_dirty =
+                         true;
+      if (to >= 0) pods_[static_cast<std::size_t>(to)].membership_dirty = true;
+    }
+    seen = host;
+  }
+}
 
-  // 1. Candidates and their Q-values. The per-host scans inside fan out
-  // over the engine's shard executor when one is attached (obs.exec);
-  // the result is bit-identical either way.
-  generate_candidates(dc, obs.host_util, beta_, *basis_, config_.candidates,
-                      rng_, scratch_.candidates, obs.network, obs.exec);
+void MeghPolicy::rebuild_membership(Pod& pod, int pod_id,
+                                    const Datacenter& dc) {
+  std::vector<int>& members = pod.members;
+  members.clear();
+  for (int h = pod.host_begin; h < pod.host_end; ++h) {
+    for (int vm : dc.vms_on(h)) members.push_back(vm);
+  }
+  std::sort(members.begin(), members.end());
+  // Free the slots of departed VMs. Only pod-local state is touched: the
+  // VM's new pod owns (and rewrites) its global pod/slot entries, so two
+  // pod phases never write the same word.
+  for (int slot = 0; slot < pod.next_slot; ++slot) {
+    const int vm = pod.vm_of_slot[static_cast<std::size_t>(slot)];
+    if (vm < 0) continue;
+    const int host = dc.host_of(vm);
+    if (host < pod.host_begin || host >= pod.host_end) {
+      pod.vm_of_slot[static_cast<std::size_t>(slot)] = -1;
+      pod.free_slots.push_back(slot);
+    }
+  }
+  // Descending order so pop_back() hands out the smallest slot first —
+  // deterministic reuse independent of departure order.
+  std::sort(pod.free_slots.begin(), pod.free_slots.end(),
+            std::greater<int>());
+  // Assign slots to immigrants; members without a slot (cap exhausted) are
+  // dropped from the candidate domain until churn frees one.
+  std::size_t w = 0;
+  pod.unslotted = 0;
+  for (int vm : members) {
+    const std::int32_t cur_slot = slot_of_vm_[static_cast<std::size_t>(vm)];
+    const bool resident =
+        pod_of_vm_[static_cast<std::size_t>(vm)] == pod_id && cur_slot >= 0 &&
+        pod.vm_of_slot[static_cast<std::size_t>(cur_slot)] == vm;
+    if (resident) {
+      members[w++] = vm;
+      continue;
+    }
+    int slot = -1;
+    if (!pod.free_slots.empty()) {
+      slot = pod.free_slots.back();
+      pod.free_slots.pop_back();
+    } else if (pod.next_slot < pod.cap) {
+      slot = pod.next_slot++;
+    }
+    if (slot < 0) {
+      ++pod.unslotted;
+      continue;
+    }
+    pod.vm_of_slot[static_cast<std::size_t>(slot)] = vm;
+    pod_of_vm_[static_cast<std::size_t>(vm)] = pod_id;
+    slot_of_vm_[static_cast<std::size_t>(vm)] = slot;
+    members[w++] = vm;
+  }
+  members.resize(w);
+  pod.membership_dirty = false;
+}
+
+void MeghPolicy::run_pod_phase(int pod_id, const StepObservation& obs,
+                               bool do_update, double share) {
+  MEGH_TRACE_SCOPE("hier_megh.pod_phase");
+  Pod& pod = pods_[static_cast<std::size_t>(pod_id)];
+  const Datacenter& dc = *obs.dc;
   const bool recovery = config_.recovery.enabled;
+  if (pod.membership_dirty) rebuild_membership(pod, pod_id, dc);
+  pod.slot_overflows += pod.unslotted;
+
+  std::vector<CandidateAction>& cands = pod.cands.candidates;
+  if (pod.members.empty()) {
+    // A fully evacuated pod has nothing to decide; its pending transitions
+    // (if any) have no candidate set to close against, so they are dropped.
+    cands.clear();
+    pod.pending.clear();
+    pod.staged_rollback = false;
+    if (recovery) pod.faults_last_step = 0;
+    return;
+  }
+
+  CandidateDomain domain;
+  domain.host_begin = pod.host_begin;
+  domain.host_end = pod.host_end;
+  domain.vms = pod.members;
+  domain.vm_slot = slot_of_vm_;
+  domain.slot_capacity = pod.cap;
+  generate_candidates(dc, obs.host_util, beta_, *basis_, config_.candidates,
+                      domain, pod.rng, pod.cands, obs.network);
+
   if (recovery) {
-    last_step_ = obs.step;
-    emitted_.clear();
     // Mask candidates that target a down host: the engine would reject
     // them, and a draw spent on one both wastes migration budget and
     // poisons the SARSA transition with a move that cannot happen. No-ops
     // survive, so "stay put" remains drawable for every source VM.
     if (config_.recovery.mask_down_hosts && !obs.host_down.empty()) {
-      std::vector<CandidateAction>& cands = scratch_.candidates.candidates;
       std::size_t w = 0;
       for (std::size_t i = 0; i < cands.size(); ++i) {
         if (!cands[i].is_noop &&
             obs.host_down[static_cast<std::size_t>(cands[i].host)] != 0) {
-          ++masked_candidates_;
+          ++pod.masked_candidates;
           continue;
         }
         cands[w++] = cands[i];
@@ -98,37 +298,141 @@ void MeghPolicy::decide_into(const StepObservation& obs,
     // Burst rollback: a heavily faulted interval taught the critic from
     // transitions the faults falsified — restore the last checkpoint and
     // drop the straddling pending transitions.
-    if (config_.recovery.rollback_burst_threshold > 0 &&
-        faults_last_step_ >= config_.recovery.rollback_burst_threshold &&
-        checkpoint_.valid) {
-      learner_->restore(checkpoint_.B, checkpoint_.z, checkpoint_.theta);
-      pending_actions_.clear();
-      has_pending_cost_ = false;
-      ++rollbacks_;
+    if (pod.staged_rollback) {
+      pod.learner->restore(pod.checkpoint.B, pod.checkpoint.z,
+                           pod.checkpoint.theta);
+      pod.pending.clear();
+      ++pod.rollbacks;
     }
-    faults_last_step_ = 0;
+    pod.staged_rollback = false;
+    pod.faults_last_step = 0;
   }
-  const std::vector<CandidateAction>& candidates =
-      scratch_.candidates.candidates;
-  MEGH_ASSERT(!candidates.empty(), "candidate set must never be empty");
-  std::vector<double>& q = scratch_.q;
-  std::vector<std::int64_t>& q_idx = scratch_.q_idx;
-  q.reserve(candidates.capacity());  // worst-case once; no later regrowth
-  q_idx.clear();
-  q_idx.reserve(candidates.capacity());
-  for (const CandidateAction& c : candidates) {
-    q_idx.push_back(c.index);
-  }
-  // One batched gather scores the whole candidate set; the per-candidate
-  // slot-map misses overlap instead of serializing.
-  q.resize(candidates.size());
-  learner_->q_values(q_idx, q);
 
-  // 2. Close the previous step's transitions: φ_b = the greedy action under
-  //    the current policy at the state we have just arrived in.
-  if (config_.learning_enabled && has_pending_cost_ &&
-      !pending_actions_.empty()) {
-    const std::int64_t b = candidates[BoltzmannSelector::greedy(q)].index;
+  // Pod-local action indices and Q-values, one batched gather.
+  std::vector<std::int64_t>& pod_idx = pod.pod_idx;
+  std::vector<double>& q = pod.q;
+  pod_idx.clear();
+  pod_idx.reserve(cands.capacity());
+  for (const CandidateAction& c : cands) {
+    pod_idx.push_back(pod_index(pod, c.vm, c.host));
+  }
+  q.reserve(cands.capacity());
+  q.resize(cands.size());
+  pod.learner->q_values(pod_idx, q);
+
+  // Close the previous step's transitions: φ_b = the greedy action under
+  // the current policy at the state we have just arrived in. All pending
+  // actions share b, so the batched kernel extracts B.row(b) once.
+  if (do_update && !pod.pending.empty() && !cands.empty()) {
+    const std::int64_t b = pod_idx[BoltzmannSelector::greedy(q)];
+    pod.learner->update_batch(pod.pending, share, b);
+    // θ changed; refresh the candidates' Q-values before acting on them.
+    pod.learner->q_values(pod_idx, q);
+  }
+  pod.pending.clear();
+  if (recovery && config_.learning_enabled &&
+      config_.recovery.rollback_burst_threshold > 0 &&
+      obs.step % config_.recovery.checkpoint_interval_steps == 0) {
+    pod.checkpoint.B = pod.learner->B();
+    pod.checkpoint.z = pod.learner->z();
+    pod.checkpoint.theta = pod.learner->theta();
+    pod.checkpoint.valid = true;
+  }
+
+  // Boltzmann weights (selector reads are const and the decay is serial,
+  // so the shared selector is safe here) and the slot → candidates index,
+  // so excluding a chosen VM's remaining candidates is O(candidates of that
+  // VM). Only the slots dirtied by the previous step are reset.
+  pod.weights.reserve(cands.capacity());
+  selector_.weights(q, pod.weights);
+  for (int slot : pod.touched_slots) {
+    pod.candidates_of_slot[static_cast<std::size_t>(slot)].clear();
+    pod.slot_used[static_cast<std::size_t>(slot)] = 0;
+  }
+  pod.touched_slots.clear();
+  for (std::size_t j = 0; j < cands.size(); ++j) {
+    const std::int32_t slot =
+        slot_of_vm_[static_cast<std::size_t>(cands[j].vm)];
+    std::vector<std::size_t>& list =
+        pod.candidates_of_slot[static_cast<std::size_t>(slot)];
+    if (list.empty()) pod.touched_slots.push_back(slot);
+    list.push_back(j);
+  }
+}
+
+void MeghPolicy::take(Pod& pod, int pod_id, std::size_t j,
+                      const Datacenter& dc,
+                      std::vector<MigrationAction>& out) {
+  const CandidateAction& c = pod.cands.candidates[j];
+  const std::int32_t slot = slot_of_vm_[static_cast<std::size_t>(c.vm)];
+  std::uint8_t& used = pod.slot_used[static_cast<std::size_t>(slot)];
+  if (used == 0) {
+    used = 1;
+    pod.pending.push_back(pod.pod_idx[j]);
+    if (!c.is_noop) {
+      out.push_back(MigrationAction{c.vm, c.host});
+      ++total_migrations_selected_;
+      if (config_.recovery.enabled) {
+        emitted_.push_back(EmittedAction{c.vm, dc.host_of(c.vm), c.host,
+                                         pod_id, pod.pending.size() - 1, 0});
+      }
+    }
+  }
+  // Remove every candidate of this VM from further draws.
+  for (std::size_t k : pod.candidates_of_slot[static_cast<std::size_t>(slot)]) {
+    pod.weights[k] = 0.0;
+  }
+}
+
+void MeghPolicy::draw_from(Pod& pod, int pod_id,
+                           std::span<const std::size_t> subset,
+                           const Datacenter& dc,
+                           std::vector<MigrationAction>& out) {
+  double total = 0.0;
+  for (std::size_t j : subset) total += pod.weights[j];
+  if (!(total > 0.0) || !std::isfinite(total)) return;
+  double r = pod.rng.uniform() * total;
+  // Numerical edge: r can stay positive by epsilon after the full pass.
+  // Fall back to the last *positive-weight* candidate — never one whose
+  // weight was zeroed (already-used VM / non-finite Q), mirroring
+  // Rng::weighted_index.
+  std::size_t last_positive = subset.size();
+  for (std::size_t k = 0; k < subset.size(); ++k) {
+    const std::size_t j = subset[k];
+    if (pod.weights[j] > 0.0) last_positive = k;
+    r -= pod.weights[j];
+    if (r <= 0.0) {
+      take(pod, pod_id, j, dc, out);
+      return;
+    }
+  }
+  if (last_positive < subset.size()) {
+    take(pod, pod_id, subset[last_positive], dc, out);
+  }
+}
+
+void MeghPolicy::decide_into(const StepObservation& obs,
+                             std::vector<MigrationAction>& out) {
+  MEGH_REQUIRE(basis_ != nullptr, "MeghPolicy::decide before begin()");
+  MEGH_TRACE_SCOPE("megh.decide");
+  const Datacenter& dc = *obs.dc;
+  const bool recovery = config_.recovery.enabled;
+  mark_membership_changes(dc);
+
+  // Serial pre-pass: stage each pod's rollback decision, then compute the
+  // global cost share over the transitions that will survive. The baseline
+  // EMA advances exactly when an update actually runs.
+  std::size_t total_pending = 0;
+  for (Pod& pod : pods_) {
+    pod.staged_rollback =
+        recovery && config_.recovery.rollback_burst_threshold > 0 &&
+        pod.faults_last_step >= config_.recovery.rollback_burst_threshold &&
+        pod.checkpoint.valid;
+    if (!pod.staged_rollback) total_pending += pod.pending.size();
+  }
+  bool do_update = false;
+  double share = 0.0;
+  if (config_.learning_enabled && has_pending_cost_ && total_pending > 0) {
     double effective_cost = pending_cost_;
     if (config_.advantage_baseline) {
       if (!baseline_initialized_) {
@@ -136,198 +440,147 @@ void MeghPolicy::decide_into(const StepObservation& obs,
         baseline_initialized_ = true;
       }
       effective_cost = pending_cost_ - cost_baseline_;
-      cost_baseline_ += config_.baseline_weight *
-                        (pending_cost_ - cost_baseline_);
+      cost_baseline_ +=
+          config_.baseline_weight * (pending_cost_ - cost_baseline_);
     }
-    const double share =
-        effective_cost / static_cast<double>(pending_actions_.size());
-    // All pending actions share the same greedy b, so the batched kernel
-    // extracts B.row(b) once instead of once per action.
-    learner_->update_batch(pending_actions_, share, b);
-    // θ changed; refresh the candidates' Q-values before acting on them.
-    learner_->q_values(q_idx, q);
+    share = effective_cost / static_cast<double>(total_pending);
+    do_update = true;
   }
-  pending_actions_.clear();
   has_pending_cost_ = false;
-  if (recovery && config_.learning_enabled &&
-      config_.recovery.rollback_burst_threshold > 0 &&
-      obs.step % config_.recovery.checkpoint_interval_steps == 0) {
-    refresh_checkpoint();
+  if (recovery) {
+    last_step_ = obs.step;
+    emitted_.clear();
   }
 
-  // 3. Boltzmann-sample actions, at most one per VM. Algorithm 1 picks a
-  //    single action per iteration; the 2% budget (Sec. 6.1) is a ceiling
-  //    reached only under pressure. Per Sec. 3.1 the system reacts to each
-  //    overloaded PM, so we make one draw *restricted to that host's VMs*
-  //    per overloaded host (its no-ops stay drawable — "when to migrate"
-  //    remains learned), plus one global draw, all within the budget.
-  scratch_.weights.reserve(candidates.capacity());
-  selector_.weights(q, scratch_.weights);
-  std::vector<double>& weights = scratch_.weights;
-  // vm → candidate indices, built once per step so excluding a chosen VM's
-  // remaining candidates is O(candidates of that VM), not a rescan of the
-  // whole candidate set on every draw. Only the entries dirtied by the
-  // previous step (touched_vms) are reset, never the whole fleet.
-  std::vector<std::vector<std::size_t>>& candidates_of_vm =
-      scratch_.candidates_of_vm;
-  if (candidates_of_vm.size() != static_cast<std::size_t>(dc.num_vms())) {
-    candidates_of_vm.assign(static_cast<std::size_t>(dc.num_vms()), {});
-    // A VM is the source of at most no-op + PABFD + pack +
-    // targets_per_source random candidates; reserving that up front means a
-    // VM first selected deep into the run still allocates nothing.
-    for (std::vector<std::size_t>& list : candidates_of_vm) {
-      list.reserve(
-          static_cast<std::size_t>(config_.candidates.targets_per_source + 3));
+  // Pod phase: one shard per pod, each owning its learner.
+  if (obs.exec != nullptr && plans_match(obs.exec->plan(), plan_)) {
+    obs.exec->for_shards(
+        [&](int s) { run_pod_phase(s, obs, do_update, share); });
+  } else {
+    for (int p = 0; p < num_pods(); ++p) {
+      run_pod_phase(p, obs, do_update, share);
     }
-    scratch_.vm_used.assign(static_cast<std::size_t>(dc.num_vms()), 0);
-    scratch_.touched_vms.clear();
-    scratch_.touched_vms.reserve(static_cast<std::size_t>(dc.num_vms()));
   }
-  for (int vm : scratch_.touched_vms) {
-    candidates_of_vm[static_cast<std::size_t>(vm)].clear();
-    scratch_.vm_used[static_cast<std::size_t>(vm)] = 0;
-  }
-  scratch_.touched_vms.clear();
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    std::vector<std::size_t>& list =
-        candidates_of_vm[static_cast<std::size_t>(candidates[j].vm)];
-    if (list.empty()) scratch_.touched_vms.push_back(candidates[j].vm);
-    list.push_back(j);
-  }
-  const auto take = [&](std::size_t i) {
-    const CandidateAction& c = candidates[i];
-    std::uint8_t& used = scratch_.vm_used[static_cast<std::size_t>(c.vm)];
-    if (used == 0) {
-      used = 1;
-      pending_actions_.push_back(c.index);
-      if (!c.is_noop) {
-        out.push_back(MigrationAction{c.vm, c.host});
-        ++total_migrations_selected_;
-        if (recovery) {
-          emitted_.push_back(EmittedAction{c.vm, dc.host_of(c.vm), c.host,
-                                           pending_actions_.size() - 1, 0});
-        }
-      }
-    }
-    // Remove every candidate of this VM from further draws.
-    for (std::size_t j : candidates_of_vm[static_cast<std::size_t>(c.vm)]) {
-      weights[j] = 0.0;
-    }
-  };
-  const auto draw_from = [&](const std::vector<std::size_t>& subset) {
-    double total = 0.0;
-    for (std::size_t j : subset) total += weights[j];
-    if (!(total > 0.0) || !std::isfinite(total)) return;
-    double r = rng_.uniform() * total;
-    // Numerical edge: r can stay positive by epsilon after the full pass.
-    // Fall back to the last *positive-weight* candidate — never one whose
-    // weight was zeroed (already-used VM / non-finite Q), mirroring
-    // Rng::weighted_index.
-    std::size_t last_positive = subset.size();
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      const std::size_t j = subset[k];
-      if (weights[j] > 0.0) last_positive = k;
-      r -= weights[j];
-      if (r <= 0.0) {
-        take(j);
-        return;
-      }
-    }
-    if (last_positive < subset.size()) take(subset[last_positive]);
-  };
+
+  // Serial coordinator: all Boltzmann draws, in fixed pod-major order,
+  // against the single global budget. Algorithm 1 picks a single action per
+  // iteration; the 2% budget (Sec. 6.1) is a ceiling reached only under
+  // pressure. Per Sec. 3.1 the system reacts to each overloaded PM, so
+  // there is one draw *restricted to that host's VMs* per overloaded host
+  // (its no-ops stay drawable — "when to migrate" remains learned), plus a
+  // consolidation and an exploration draw per pod, all within the budget.
+  MEGH_TRACE_SCOPE("megh.draw");
+  int budget = migration_budget_;
 
   // Injected retries: deterministically re-request due aborted migrations
-  // before any Boltzmann draw, claiming budget first. A fault-free run
-  // never queues a retry, so this is a no-op there.
-  int budget = migration_budget_;
-  if (recovery && !retries_.empty()) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < retries_.size(); ++i) {
-      const PendingRetry r = retries_[i];
-      if (r.due_step > obs.step) {
-        retries_[keep++] = r;  // not due yet
-        continue;
+  // before any Boltzmann draw, claiming budget first (pods ascending, queue
+  // order). A fault-free run never queues a retry.
+  if (recovery) {
+    for (int p = 0; p < num_pods(); ++p) {
+      Pod& pod = pods_[static_cast<std::size_t>(p)];
+      if (pod.retries.empty()) continue;
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < pod.retries.size(); ++i) {
+        const PendingRetry r = pod.retries[i];
+        if (r.due_step > obs.step) {
+          pod.retries[keep++] = r;  // not due yet
+          continue;
+        }
+        const bool target_down =
+            !obs.host_down.empty() &&
+            obs.host_down[static_cast<std::size_t>(r.target)] != 0;
+        // Stale: the VM moved off its source in the meantime (evacuation
+        // or another action), or an earlier retry already claimed it.
+        const std::int32_t slot = slot_of_vm_[static_cast<std::size_t>(r.vm)];
+        const bool stale =
+            dc.host_of(r.vm) != r.source || slot < 0 ||
+            pod_of_vm_[static_cast<std::size_t>(r.vm)] != p ||
+            pod.slot_used[static_cast<std::size_t>(slot)] != 0;
+        if (target_down || stale) continue;  // drop: the world moved on
+        // Drop retries whose source host is no longer hot enough to be
+        // worth the extra migration downtime (see retry_min_utilization).
+        if (config_.recovery.retry_min_utilization > 0.0 &&
+            obs.host_util[static_cast<std::size_t>(r.source)] <
+                config_.recovery.retry_min_utilization) {
+          continue;
+        }
+        if (budget <= 0) {
+          pod.retries[keep++] = r;  // over budget; try again next step
+          continue;
+        }
+        // slot_used is only reset for slots in the candidate set, so mark
+        // it — and zero the VM's draw weights — only when the VM is a
+        // candidate this step; otherwise no draw can reach it anyway.
+        const std::vector<std::size_t>& vm_cands =
+            pod.candidates_of_slot[static_cast<std::size_t>(slot)];
+        if (!vm_cands.empty()) {
+          pod.slot_used[static_cast<std::size_t>(slot)] = 1;
+          for (std::size_t j : vm_cands) pod.weights[j] = 0.0;
+        }
+        pod.pending.push_back(pod_index(pod, r.vm, r.target));
+        out.push_back(MigrationAction{r.vm, r.target});
+        emitted_.push_back(EmittedAction{r.vm, r.source, r.target, p,
+                                         pod.pending.size() - 1, r.attempt});
+        ++total_migrations_selected_;
+        ++retries_issued_;
+        --budget;
       }
-      const bool target_down =
-          !obs.host_down.empty() &&
-          obs.host_down[static_cast<std::size_t>(r.target)] != 0;
-      // Stale: the VM moved off its source in the meantime (evacuation or
-      // another action), or an earlier retry already claimed it this step.
-      const bool stale =
-          dc.host_of(r.vm) != r.source ||
-          scratch_.vm_used[static_cast<std::size_t>(r.vm)] != 0;
-      if (target_down || stale) continue;  // drop: the world moved on
-      // Drop retries whose source host is no longer hot enough to be worth
-      // the extra migration downtime (see retry_min_utilization).
-      if (config_.recovery.retry_min_utilization > 0.0 &&
-          obs.host_util[static_cast<std::size_t>(r.source)] <
-              config_.recovery.retry_min_utilization) {
-        continue;
+      pod.retries.resize(keep);
+    }
+  }
+
+  // Reactive draws: one per overloaded host, over that host's candidates,
+  // pods ascending then hosts ascending — the global host order. Overload
+  // response has first claim on the whole budget.
+  for (int p = 0; p < num_pods() && budget > 0; ++p) {
+    Pod& pod = pods_[static_cast<std::size_t>(p)];
+    const std::vector<CandidateAction>& cands = pod.cands.candidates;
+    if (cands.empty()) continue;
+    std::vector<std::size_t>& subset = pod.subset;
+    subset.reserve(cands.capacity());
+    for (int h = pod.host_begin; h < pod.host_end && budget > 0; ++h) {
+      if (obs.host_util[static_cast<std::size_t>(h)] <= beta_) continue;
+      subset.clear();
+      for (std::size_t j = 0; j < cands.size(); ++j) {
+        if (dc.host_of(cands[j].vm) == h) subset.push_back(j);
       }
-      if (budget <= 0) {
-        retries_[keep++] = r;  // over budget; try again next step
-        continue;
-      }
-      // vm_used is only ever reset for VMs in the candidate set
-      // (touched_vms), so mark it — and zero the VM's draw weights — only
-      // when the VM is a candidate this step; otherwise no draw can reach
-      // it anyway.
-      const std::vector<std::size_t>& vm_cands =
-          candidates_of_vm[static_cast<std::size_t>(r.vm)];
-      if (!vm_cands.empty()) {
-        scratch_.vm_used[static_cast<std::size_t>(r.vm)] = 1;
-        for (std::size_t j : vm_cands) weights[j] = 0.0;
-      }
-      pending_actions_.push_back(basis_->index(r.vm, r.target));
-      out.push_back(MigrationAction{r.vm, r.target});
-      emitted_.push_back(EmittedAction{r.vm, r.source, r.target,
-                                       pending_actions_.size() - 1,
-                                       r.attempt});
-      ++total_migrations_selected_;
-      ++retries_issued_;
+      if (subset.empty()) continue;
+      draw_from(pod, p, subset, dc, out);
       --budget;
     }
-    retries_.resize(keep);
   }
 
-  // Reactive draws: one per overloaded host, over that host's candidates.
-  // Overload response has first claim on the whole budget.
-  std::vector<std::size_t>& subset = scratch_.subset;
-  subset.reserve(candidates.capacity());
-  for (int h = 0; h < dc.num_hosts() && budget > 0; ++h) {
-    if (obs.host_util[static_cast<std::size_t>(h)] <= beta_) continue;
+  // One consolidation draw per pod: restricted to consolidation-source
+  // candidates (their no-ops included, so "leave it where it is" stays
+  // learnable).
+  for (int p = 0; p < num_pods() && budget > 0; ++p) {
+    Pod& pod = pods_[static_cast<std::size_t>(p)];
+    const std::vector<CandidateAction>& cands = pod.cands.candidates;
+    std::vector<std::size_t>& subset = pod.subset;
     subset.clear();
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      if (dc.host_of(candidates[j].vm) == h) subset.push_back(j);
-    }
-    if (subset.empty()) continue;
-    draw_from(subset);
-    --budget;
-  }
-
-  // One consolidation draw: restricted to consolidation-source candidates
-  // (their no-ops included, so "leave it where it is" stays learnable).
-  if (budget > 0) {
-    subset.clear();
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      if (candidates[j].group == CandidateGroup::kConsolidation) {
+    for (std::size_t j = 0; j < cands.size(); ++j) {
+      if (cands[j].group == CandidateGroup::kConsolidation) {
         subset.push_back(j);
       }
     }
-    if (!subset.empty()) {
-      draw_from(subset);
-      --budget;
-    }
+    if (subset.empty()) continue;
+    draw_from(pod, p, subset, dc, out);
+    --budget;
   }
 
-  // One global draw (exploration), if any budget remains.
-  if (budget > 0) {
-    subset.resize(candidates.size());
-    for (std::size_t j = 0; j < candidates.size(); ++j) subset[j] = j;
-    draw_from(subset);
+  // One exploration draw per pod over its whole candidate set.
+  for (int p = 0; p < num_pods() && budget > 0; ++p) {
+    Pod& pod = pods_[static_cast<std::size_t>(p)];
+    const std::vector<CandidateAction>& cands = pod.cands.candidates;
+    if (cands.empty()) continue;
+    std::vector<std::size_t>& subset = pod.subset;
+    subset.resize(cands.size());
+    for (std::size_t j = 0; j < cands.size(); ++j) subset[j] = j;
+    draw_from(pod, p, subset, dc, out);
+    --budget;
   }
 
-  // 4. Temperature decay (once per step).
+  // Temperature decay (once per step).
   selector_.decay();
 }
 
@@ -336,8 +589,7 @@ void MeghPolicy::observe_cost(double step_cost) {
   has_pending_cost_ = true;
 }
 
-void MeghPolicy::observe_outcomes(
-    std::span<const MigrationOutcome> outcomes) {
+void MeghPolicy::observe_outcomes(std::span<const MigrationOutcome> outcomes) {
   if (!config_.recovery.enabled) return;
   // One verdict per emitted action, in emission order (engine contract).
   MEGH_ASSERT(outcomes.size() == emitted_.size(),
@@ -349,76 +601,150 @@ void MeghPolicy::observe_outcomes(
       continue;
     }
     const EmittedAction& e = emitted_[i];
+    Pod& pod = pods_[static_cast<std::size_t>(e.pod)];
     ++faults_seen_;
-    ++faults_last_step_;
-    // The realized transition kept the VM on its source: remap the pending
-    // SARSA action to the no-op so the critic learns from what actually
-    // happened (including the fault's cost), not from a move that never
-    // landed.
-    pending_actions_[e.pending_slot] = basis_->index(e.vm, e.source);
+    ++pod.faults_last_step;
+    // The realized transition kept the VM on its source (inside pod e.pod,
+    // so its slot is still valid): remap the pending SARSA action to the
+    // no-op so the critic learns from what actually happened (including
+    // the fault's cost), not from a move that never landed.
+    pod.pending[e.pending_slot] = pod_index(pod, e.vm, e.source);
     if (o.verdict == MigrationVerdict::kAborted &&
         e.attempt < config_.recovery.max_retries) {
-      retries_.push_back(PendingRetry{
+      pod.retries.push_back(PendingRetry{
           e.vm, e.source, e.target,
-          last_step_ +
-              config_.recovery.retry_backoff_steps * (1 << e.attempt),
+          last_step_ + config_.recovery.retry_backoff_steps * (1 << e.attempt),
           e.attempt + 1});
     }
   }
 }
 
-void MeghPolicy::refresh_checkpoint() {
-  checkpoint_.B = learner_->B();
-  checkpoint_.z = learner_->z();
-  checkpoint_.theta = learner_->theta();
-  checkpoint_.valid = true;
+void MeghPolicy::intern_stat_keys() {
+  aggregate_keys_.clear();
+  for (const char* name :
+       {"qtable_nnz", "theta_nnz", "lspi_updates", "singular_skips",
+        "truncations", "b_offdiag_nnz", "temperature", "migrations_selected",
+        "faults_seen", "retries", "masked_candidates", "rollbacks"}) {
+    aggregate_keys_.push_back(StatKey::intern(name));
+  }
+  pod_keys_.clear();
+  if (num_pods() == 1) return;
+  aggregate_keys_.push_back(StatKey::intern("pods"));
+  aggregate_keys_.push_back(StatKey::intern("slot_overflows"));
+  const int pods_with_keys = std::min(num_pods(), kPerPodStatsLimit);
+  pod_keys_.reserve(static_cast<std::size_t>(pods_with_keys) * 3);
+  for (int p = 0; p < pods_with_keys; ++p) {
+    const std::string prefix = "pod" + std::to_string(p) + ".";
+    pod_keys_.push_back(StatKey::intern(prefix + "qtable_nnz"));
+    pod_keys_.push_back(StatKey::intern(prefix + "lspi_updates"));
+    pod_keys_.push_back(StatKey::intern(prefix + "rollbacks"));
+  }
 }
 
 void MeghPolicy::stats(PolicyStats& out) const {
-  static const StatKey kQtableNnz = StatKey::intern("qtable_nnz");
-  static const StatKey kThetaNnz = StatKey::intern("theta_nnz");
-  static const StatKey kLspiUpdates = StatKey::intern("lspi_updates");
-  static const StatKey kSingularSkips = StatKey::intern("singular_skips");
-  static const StatKey kTruncations = StatKey::intern("truncations");
-  static const StatKey kBOffdiagNnz = StatKey::intern("b_offdiag_nnz");
-  static const StatKey kTemperature = StatKey::intern("temperature");
-  static const StatKey kMigrationsSelected =
-      StatKey::intern("migrations_selected");
-  static const StatKey kFaultsSeen = StatKey::intern("faults_seen");
-  static const StatKey kRetries = StatKey::intern("retries");
-  static const StatKey kMaskedCandidates =
-      StatKey::intern("masked_candidates");
-  static const StatKey kRollbacks = StatKey::intern("rollbacks");
-  if (learner_ != nullptr) {
-    out.set(kQtableNnz, static_cast<double>(learner_->qtable_nnz()));
-    out.set(kThetaNnz, static_cast<double>(learner_->theta_nnz()));
-    out.set(kLspiUpdates, static_cast<double>(learner_->updates()));
+  if (pods_.empty()) return;  // keys are interned by begin()
+#ifndef NDEBUG
+  // The allocation-free-step guarantee: every key this method writes was
+  // interned at begin(); a per-step stats() call must not grow the
+  // process-wide registry.
+  const int interned_before = StatKey::interned_count();
+#endif
+  double qtable_nnz = 0.0, theta_nnz = 0.0, lspi_updates = 0.0;
+  double singular_skips = 0.0, truncations = 0.0, b_offdiag = 0.0;
+  double masked = 0.0, rollbacks = 0.0, overflows = 0.0;
+  for (const Pod& pod : pods_) {
+    qtable_nnz += static_cast<double>(pod.learner->qtable_nnz());
+    theta_nnz += static_cast<double>(pod.learner->theta_nnz());
+    lspi_updates += static_cast<double>(pod.learner->updates());
     // A degenerate Sherman–Morrison denominator silently skips the B
     // update; surface it (plus truncation pressure and B fill-in) so
     // snapshots show *why* the critic stalls instead of hiding it.
-    out.set(kSingularSkips, static_cast<double>(learner_->singular_skips()));
-    out.set(kTruncations, static_cast<double>(learner_->truncations()));
-    out.set(kBOffdiagNnz, static_cast<double>(learner_->B().offdiag_nnz()));
+    singular_skips += static_cast<double>(pod.learner->singular_skips());
+    truncations += static_cast<double>(pod.learner->truncations());
+    b_offdiag += static_cast<double>(pod.learner->B().offdiag_nnz());
+    masked += static_cast<double>(pod.masked_candidates);
+    rollbacks += static_cast<double>(pod.rollbacks);
+    overflows += static_cast<double>(pod.slot_overflows);
   }
-  out.set(kTemperature, selector_.temperature());
-  out.set(kMigrationsSelected,
-          static_cast<double>(total_migrations_selected_));
-  // Recovery counters (satellite view of the chaos subsystem): all stay 0
-  // when recovery is disabled or the run is fault-free.
-  out.set(kFaultsSeen, static_cast<double>(faults_seen_));
-  out.set(kRetries, static_cast<double>(retries_issued_));
-  out.set(kMaskedCandidates, static_cast<double>(masked_candidates_));
-  out.set(kRollbacks, static_cast<double>(rollbacks_));
+  const double values[] = {qtable_nnz,
+                           theta_nnz,
+                           lspi_updates,
+                           singular_skips,
+                           truncations,
+                           b_offdiag,
+                           selector_.temperature(),
+                           static_cast<double>(total_migrations_selected_),
+                           // Recovery counters: all stay 0 when recovery is
+                           // disabled or the run is fault-free.
+                           static_cast<double>(faults_seen_),
+                           static_cast<double>(retries_issued_),
+                           masked,
+                           rollbacks,
+                           static_cast<double>(num_pods()),
+                           overflows};
+  for (std::size_t k = 0; k < aggregate_keys_.size(); ++k) {
+    out.set(aggregate_keys_[k], values[k]);
+  }
+  for (std::size_t k = 0; k < pod_keys_.size(); k += 3) {
+    const Pod& pod = pods_[k / 3];
+    out.set(pod_keys_[k], static_cast<double>(pod.learner->qtable_nnz()));
+    out.set(pod_keys_[k + 1], static_cast<double>(pod.learner->updates()));
+    out.set(pod_keys_[k + 2], static_cast<double>(pod.rollbacks));
+  }
+#ifndef NDEBUG
+  MEGH_ASSERT(StatKey::interned_count() == interned_before,
+              "Megh stat keys must be interned at begin(), not per step");
+#endif
+}
+
+const MeghPolicy::Pod& MeghPolicy::pod_at(int pod) const {
+  MEGH_REQUIRE(!pods_.empty(), "Megh learner not initialized; call begin()");
+  MEGH_REQUIRE(pod >= 0 && pod < num_pods(), "pod index out of range");
+  return pods_[static_cast<std::size_t>(pod)];
 }
 
 const LspiLearner& MeghPolicy::learner() const {
-  MEGH_REQUIRE(learner_ != nullptr, "learner not initialized; call begin()");
-  return *learner_;
+  MEGH_REQUIRE(num_pods() <= 1,
+               "learner(): the policy has one learner per pod; use "
+               "pod_learner()");
+  return *pod_at(0).learner;
 }
 
-LspiLearner& MeghPolicy::mutable_learner() {
-  MEGH_REQUIRE(learner_ != nullptr, "learner not initialized; call begin()");
-  return *learner_;
+const LspiLearner& MeghPolicy::pod_learner(int pod) const {
+  return *pod_at(pod).learner;
+}
+
+LspiLearner& MeghPolicy::mutable_pod_learner(int pod) {
+  return *pod_at(pod).learner;
+}
+
+const Rng& MeghPolicy::pod_rng(int pod) const { return pod_at(pod).rng; }
+
+int MeghPolicy::pod_host_begin(int pod) const {
+  return pod_at(pod).host_begin;
+}
+
+int MeghPolicy::pod_host_end(int pod) const { return pod_at(pod).host_end; }
+
+int MeghPolicy::pod_slot_capacity(int pod) const { return pod_at(pod).cap; }
+
+std::span<const int> MeghPolicy::pod_vm_of_slot(int pod) const {
+  return pod_at(pod).vm_of_slot;
+}
+
+std::span<const std::int64_t> MeghPolicy::pending_actions() const {
+  MEGH_REQUIRE(num_pods() == 1, "pending_actions() needs a one-pod policy");
+  return pods_.front().pending;
+}
+
+void MeghPolicy::restore_pending(std::span<const std::int64_t> actions,
+                                 double cost, bool has_cost,
+                                 long long migrations_selected) {
+  MEGH_REQUIRE(num_pods() == 1, "restore_pending() needs a one-pod policy");
+  pods_.front().pending.assign(actions.begin(), actions.end());
+  pending_cost_ = cost;
+  has_pending_cost_ = has_cost;
+  total_migrations_selected_ = migrations_selected;
 }
 
 }  // namespace megh

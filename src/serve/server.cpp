@@ -17,7 +17,7 @@ namespace megh::serve {
 namespace {
 
 constexpr const char* kInitFile = "init.bin";
-constexpr const char* kSnapshotMagic = "megh-serve-snapshot v1";
+constexpr const char* kSnapshotMagic = "megh-serve-snapshot v2";
 
 std::string snapshot_name(std::uint64_t gen) {
   return strf("snap-%020llu.ckpt", static_cast<unsigned long long>(gen));
@@ -585,7 +585,7 @@ void MeghServer::write_snapshot(std::ostream& out) {
   out << "pending_cost " << strf("%.17g", policy_->pending_cost()) << " has "
       << (policy_->has_pending_cost() ? 1 : 0) << " selected "
       << policy_->migrations_selected() << '\n';
-  write_megh_policy(out, *policy_);
+  write_megh_checkpoint(out, *policy_);
   out << "end\n";
 }
 
@@ -673,7 +673,7 @@ void MeghServer::load_snapshot(const std::filesystem::path& path) {
 
   policy_ = std::make_unique<MeghPolicy>(init_.config);
   policy_->begin(*dc_, init_.cost, init_.interval_s);
-  read_megh_policy(in, *policy_, path.string());
+  read_megh_checkpoint(in, *policy_, path.string());
   policy_->restore_pending(pending, pending_cost, has_cost != 0, selected);
 
   std::string tail;

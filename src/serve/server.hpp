@@ -108,7 +108,7 @@ class MeghServer {
   std::uint64_t next_seq() const;
 
   /// Serialize the complete server state (placement mirror, demands,
-  /// pending SARSA, embedded v3 policy checkpoint) — the same bytes a
+  /// pending SARSA, embedded policy checkpoint) — the same bytes a
   /// compaction snapshot holds. Two servers that dump identical bytes are
   /// in identical states; the CI crash-recovery job compares these.
   void dump_state(std::ostream& out);

@@ -3,7 +3,9 @@
 // fabric-free), job-count bit-identity on a 16-pod fabric, per-pod
 // checkpoint kill/restore round-trips, per-pod chaos recovery (masking +
 // burst rollback), the interned-stat-keys allocation-free-step guarantee,
-// and the checkpoint format-version gates.
+// and the checkpoint shape and version gates. Flat Megh is the same engine
+// on a one-pod plan, so the single-pod identities check that the per-pod
+// plan degenerates to it exactly.
 #include "core/hierarchical_megh.hpp"
 
 #include <gtest/gtest.h>
@@ -256,12 +258,12 @@ TEST_F(HierCheckpointTest, PerPodKillRestoreRoundTripIsExact) {
     sim.run(trained);
   }
   const auto path = dir_ / "hier.ckpt";
-  save_hierarchical_policy(trained, path);
+  save_megh_checkpoint(trained, path);
 
   HierarchicalMeghPolicy restored(config);
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   restored.begin(dc, CostConfig{}, 300.0);
-  load_hierarchical_policy(restored, path);
+  load_megh_checkpoint(restored, path);
 
   ASSERT_EQ(restored.num_pods(), trained.num_pods());
   EXPECT_DOUBLE_EQ(restored.temperature(), trained.temperature());
@@ -289,7 +291,7 @@ TEST_F(HierCheckpointTest, PerPodKillRestoreRoundTripIsExact) {
   // Byte-level round trip: re-saving the restored policy reproduces the
   // file exactly, so nothing was lost or renormalized in flight.
   const auto resaved = dir_ / "hier2.ckpt";
-  save_hierarchical_policy(restored, resaved);
+  save_megh_checkpoint(restored, resaved);
   EXPECT_EQ(file_contents(path), file_contents(resaved));
 }
 
@@ -309,11 +311,11 @@ TEST_F(HierCheckpointTest, RestoredPodLearnersContinueIdentically) {
     sim.run(trained);
   }
   const auto path = dir_ / "cont.ckpt";
-  save_hierarchical_policy(trained, path);
+  save_megh_checkpoint(trained, path);
   HierarchicalMeghPolicy restored(config);
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   restored.begin(dc, CostConfig{}, 300.0);
-  load_hierarchical_policy(restored, path);
+  load_megh_checkpoint(restored, path);
 
   // Feed both sides of every pod the same post-restore update stream: the
   // critics must stay in lockstep, bit for bit.
@@ -335,38 +337,37 @@ TEST_F(HierCheckpointTest, RestoredPodLearnersContinueIdentically) {
   }
 }
 
-// --- checkpoint format-version gates (satellite fix) ---------------------
+// --- checkpoint shape and version gates ----------------------------------
 
-TEST_F(HierCheckpointTest, FlatLoaderRejectsV4WithVersionedError) {
+TEST_F(HierCheckpointTest, FlatPolicyRejectsPerPodCheckpointWithShapeError) {
+  // Flat and hierarchical Megh share one format, but a checkpoint belongs
+  // to its pod plan: a 4-pod container must not load into the one-pod
+  // policy.
   const Scenario scenario = make_planetlab_scenario(16, 24, 10, 5);
   const auto fabric = std::make_shared<const FatTreeTopology>(
       FatTreeTopology::for_hosts(16));
   HierarchicalMeghConfig config;
   config.base = base_config(31);
   config.network = fabric;
-  HierarchicalMeghPolicy policy(config);
+  HierarchicalMeghPolicy hier(config);
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
-  policy.begin(dc, CostConfig{}, 300.0);
-  const auto path = dir_ / "v4.ckpt";
-  save_hierarchical_policy(policy, path);
+  hier.begin(dc, CostConfig{}, 300.0);
+  const auto path = dir_ / "pods.ckpt";
+  save_megh_checkpoint(hier, path);
+  MeghPolicy flat(base_config(31));
+  flat.begin(dc, CostConfig{}, 300.0);
   try {
-    load_learner(path);
-    FAIL() << "v4 container must not load as a flat learner";
+    load_megh_checkpoint(flat, path);
+    FAIL() << "4-pod checkpoint loaded into a one-pod policy";
   } catch (const ConfigError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("v4"), std::string::npos) << what;
-    EXPECT_NE(what.find("load_hierarchical_policy"), std::string::npos)
-        << what;
+    EXPECT_NE(what.find("4 pods"), std::string::npos) << what;
   }
 }
 
 TEST_F(HierCheckpointTest, HierarchicalLoaderRejectsV1WithVersionedError) {
   const auto path = dir_ / "v1.ckpt";
-  {
-    LspiLearner learner(24, 0.5, 1.0);
-    learner.update(3, 1.0, 5);
-    save_learner(learner, path);
-  }
+  std::ofstream(path) << "megh-checkpoint v1\ndim 24 gamma 0.5\nz 0\n";
   const Scenario scenario = make_planetlab_scenario(16, 24, 10, 5);
   HierarchicalMeghConfig config;
   config.base = base_config(31);
@@ -374,26 +375,27 @@ TEST_F(HierCheckpointTest, HierarchicalLoaderRejectsV1WithVersionedError) {
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   policy.begin(dc, CostConfig{}, 300.0);
   try {
-    load_hierarchical_policy(policy, path);
-    FAIL() << "v1 flat checkpoint must not load as a hierarchical container";
+    load_megh_checkpoint(policy, path);
+    FAIL() << "v1 flat checkpoint must not load as a pod container";
   } catch (const ConfigError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("load_learner"), std::string::npos) << what;
   }
 }
 
 TEST_F(HierCheckpointTest, BothLoadersRejectForeignFiles) {
   const auto path = dir_ / "garbage.ckpt";
   std::ofstream(path) << "definitely not a checkpoint\n";
-  EXPECT_THROW(load_learner(path), ConfigError);
   const Scenario scenario = make_planetlab_scenario(8, 12, 10, 5);
+  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
+  MeghPolicy flat(base_config(31));
+  flat.begin(dc, CostConfig{}, 300.0);
+  EXPECT_THROW(load_megh_checkpoint(flat, path), ConfigError);
   HierarchicalMeghConfig config;
   config.base = base_config(31);
   HierarchicalMeghPolicy policy(config);
-  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   policy.begin(dc, CostConfig{}, 300.0);
-  EXPECT_THROW(load_hierarchical_policy(policy, path), ConfigError);
+  EXPECT_THROW(load_megh_checkpoint(policy, path), ConfigError);
 }
 
 // --- per-pod chaos recovery ----------------------------------------------

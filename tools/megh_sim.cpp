@@ -60,26 +60,24 @@ std::unique_ptr<MigrationPolicy> make_policy(
         std::make_shared<serve::SocketTransport>(serve_endpoint), config,
         std::move(network));
   }
-  if (name == "megh") {
-    MeghConfig config;
-    config.seed = seed;
-    config.candidates.network_aware = !network_oblivious;
-    if (!checkpoint_load.empty()) {
-      // The adapter re-loads at every begin(), so the warm start survives
-      // the engine re-running begin() for the real run (a plain load
-      // before run() would be wiped by that second begin()).
-      return std::make_unique<WarmStartMeghPolicy>(config, checkpoint_load);
-    }
-    return std::make_unique<MeghPolicy>(config);
-  }
-  if (name == "hier-megh") {
+  if (name == "megh" || name == "hier-megh") {
+    // One engine: flat Megh is its one-pod plan, hier-megh its per-pod
+    // plan. The warm-start adapter re-loads at every begin(), so the warm
+    // start survives the engine re-running begin() for the real run (a
+    // plain load before run() would be wiped by that second begin()).
     HierarchicalMeghConfig config;
     config.base.seed = seed;
     config.base.candidates.network_aware = !network_oblivious;
     config.network = std::move(network);
+    if (name == "megh") {
+      if (!checkpoint_load.empty()) {
+        return std::make_unique<WarmStartMeghPolicy>(config.base,
+                                                     checkpoint_load);
+      }
+      return std::make_unique<MeghPolicy>(config.base);
+    }
     if (!checkpoint_load.empty()) {
-      return std::make_unique<WarmStartHierarchicalMeghPolicy>(
-          config, checkpoint_load);
+      return std::make_unique<WarmStartMeghPolicy>(config, checkpoint_load);
     }
     return std::make_unique<HierarchicalMeghPolicy>(config);
   }
@@ -234,17 +232,13 @@ int main(int argc, char** argv) {
     if (checkpoint_every > 0) {
       MEGH_REQUIRE(!checkpoint_save.empty(),
                    "--checkpoint-every needs --checkpoint-save <path>");
-      auto* megh = dynamic_cast<MeghPolicy*>(policy.get());
-      auto* hier = dynamic_cast<HierarchicalMeghPolicy*>(policy.get());
-      MEGH_REQUIRE(megh != nullptr || hier != nullptr,
+      const auto* megh = dynamic_cast<const MeghPolicy*>(policy.get());
+      MEGH_REQUIRE(megh != nullptr,
                    "--checkpoint-every only applies to --policy megh | "
                    "hier-megh");
       sim_config.on_step = [=](const StepSnapshot& s) {
-        if ((s.step + 1) % checkpoint_every != 0) return;
-        if (megh != nullptr) {
-          save_megh_policy(*megh, checkpoint_save);
-        } else {
-          save_hierarchical_policy(*hier, checkpoint_save);
+        if ((s.step + 1) % checkpoint_every == 0) {
+          save_megh_checkpoint(*megh, checkpoint_save);
         }
       };
     }
@@ -296,16 +290,12 @@ int main(int argc, char** argv) {
             "--checkpoint-save does not apply to a served policy; ask the "
             "daemon instead: megh_ctl checkpoint --socket <path>");
       }
-      if (const auto* megh = dynamic_cast<const MeghPolicy*>(policy.get())) {
-        save_megh_policy(*megh, args.get("checkpoint-save"));
-      } else if (const auto* hier =
-                     dynamic_cast<const HierarchicalMeghPolicy*>(
-                         policy.get())) {
-        save_hierarchical_policy(*hier, args.get("checkpoint-save"));
-      } else {
+      const auto* megh = dynamic_cast<const MeghPolicy*>(policy.get());
+      if (megh == nullptr) {
         throw ConfigError(
             "--checkpoint-save only applies to --policy megh | hier-megh");
       }
+      save_megh_checkpoint(*megh, args.get("checkpoint-save"));
       std::printf("checkpoint      : wrote %s\n",
                   args.get("checkpoint-save").c_str());
     }
