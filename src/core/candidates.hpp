@@ -112,7 +112,7 @@ class InsertOnlyIndexSet {
 }  // namespace detail
 
 /// Reusable working storage for generate_candidates. One instance per
-/// policy, carried across steps: every container keeps its capacity, so a
+/// Megh pod, carried across steps: every container keeps its capacity, so a
 /// steady-state call performs no heap allocation. `candidates` holds the
 /// result of the most recent call.
 struct CandidateScratch {

@@ -741,6 +741,12 @@ void MeghPolicy::restore_pending(std::span<const std::int64_t> actions,
                                  double cost, bool has_cost,
                                  long long migrations_selected) {
   MEGH_REQUIRE(num_pods() == 1, "restore_pending() needs a one-pod policy");
+  // The actions come from a snapshot file: an index outside the learner
+  // would otherwise surface as an assertion at the next update.
+  const std::int64_t dim = pods_.front().learner->dim();
+  for (const std::int64_t a : actions) {
+    MEGH_REQUIRE(a >= 0 && a < dim, "pending action index out of range");
+  }
   pods_.front().pending.assign(actions.begin(), actions.end());
   pending_cost_ = cost;
   has_pending_cost_ = has_cost;

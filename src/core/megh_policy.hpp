@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <iosfwd>
 #include <memory>
 #include <span>

@@ -137,6 +137,24 @@ TEST(MeghPolicyTest, LearnerAccessibleAfterBegin) {
   EXPECT_GT(megh.learner().updates(), 0);
 }
 
+TEST(MeghPolicyTest, RestorePendingRejectsOutOfRangeActions) {
+  // Pending actions arrive from the serving daemon's snapshot files; an
+  // index outside the learner is an error at restore, not a crash at the
+  // next update.
+  World w = World::make(5, 6, 4);
+  MeghPolicy megh;
+  megh.begin(w.dc, CostConfig{}, 300.0);
+  const std::vector<std::int64_t> ok = {0, 29};
+  megh.restore_pending(ok, 1.0, true, 3);
+  EXPECT_EQ(megh.pending_actions().size(), 2u);
+  EXPECT_EQ(megh.migrations_selected(), 3);
+  for (const std::int64_t bad : {std::int64_t{30}, std::int64_t{-1}}) {
+    const std::vector<std::int64_t> actions = {0, bad};
+    EXPECT_THROW(megh.restore_pending(actions, 1.0, true, 3), ConfigError)
+        << bad;
+  }
+}
+
 TEST(MeghPolicyTest, InvalidConfigRejected) {
   MeghConfig config;
   config.max_migration_fraction = 0.0;
