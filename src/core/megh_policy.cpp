@@ -89,6 +89,7 @@ void MeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
   }
   pod_of_host_.resize(static_cast<std::size_t>(num_hosts));
 
+  // Fresh pods: every counter, queue and flag starts at its default.
   pods_.clear();
   pods_.resize(static_cast<std::size_t>(plan_.num_shards()));
   for (int p = 0; p < plan_.num_shards(); ++p) {
@@ -98,7 +99,6 @@ void MeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
     const int width = pod.host_end - pod.host_begin;
     // Initial membership: every VM currently hosted in the range, ascending
     // (vms_on lists are per-host; a global ascending sort fixes the order).
-    pod.members.clear();
     for (int h = pod.host_begin; h < pod.host_end; ++h) {
       pod_of_host_[static_cast<std::size_t>(h)] = p;
       for (int vm : dc.vms_on(h)) pod.members.push_back(vm);
@@ -112,9 +112,7 @@ void MeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
         static_cast<int>(std::ceil(kPodSlotHeadroomFraction * population)));
     pod.cap = plan_.num_shards() == 1 ? num_vms
                                       : population + std::max(1, headroom);
-    pod.next_slot = 0;
     pod.vm_of_slot.assign(static_cast<std::size_t>(pod.cap), -1);
-    pod.free_slots.clear();
     // Ascending initial assignment: on a one-pod plan slot k is VM k,
     // making the pod action index equal the flat basis index.
     for (int vm : pod.members) {
@@ -123,19 +121,13 @@ void MeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
       pod_of_vm_[static_cast<std::size_t>(vm)] = p;
       slot_of_vm_[static_cast<std::size_t>(vm)] = slot;
     }
-    pod.membership_dirty = false;
-    pod.unslotted = 0;
     const std::int64_t dim =
         static_cast<std::int64_t>(pod.cap) * static_cast<std::int64_t>(width);
     pod.learner = std::make_unique<LspiLearner>(
         dim, config_.gamma, config_.delta, config_.max_update_support);
     pod.rng = Rng(pod_seed(config_.seed, p));
-    pod.pending.clear();
     pod.pending.reserve(static_cast<std::size_t>(migration_budget_) + 2);
     reset_pod_scratch(pod);
-    pod.rollbacks = 0;
-    pod.masked_candidates = 0;
-    pod.slot_overflows = 0;
   }
 
   has_pending_cost_ = false;
