@@ -12,7 +12,7 @@
 //     per-index work is small.
 //   * ThreadPool / ShardExecutor     — persistent parked workers for work
 //     dispatched thousands of times per run (the sharded simulation step:
-//     per-pod demand refresh, accounting and candidate scans every
+//     per-pod demand refresh, accounting and Megh pod phases every
 //     interval). Spawning threads per step would cost more than the step.
 //
 // Determinism contract: none of these primitives reorder *results* — they

@@ -49,8 +49,8 @@ struct StepObservation {
   /// observe_outcomes as kTargetDown).
   std::span<const std::uint8_t> host_down;
   /// Sharded-step execution context (pods on a fabric, contiguous blocks
-  /// otherwise; see sim/sharding.hpp). Policies may fan their per-host
-  /// scans across it — Megh's candidate generator and the MMT planner's
+  /// otherwise; see sim/sharding.hpp). Policies may fan per-shard work
+  /// across it — hierarchical Megh's per-pod phase and the MMT planner's
   /// PABFD inner loop do — as long as every cross-shard merge is exact, so
   /// the decision stays bit-identical at any job count (including this
   /// being nullptr, which unsharded callers pass).

@@ -46,9 +46,10 @@ struct SimulationConfig {
   /// topology must have capacity >= the datacenter's host count.
   std::shared_ptr<const FatTreeTopology> network;
   /// Worker count for the sharded step (see sim/sharding.hpp): demand
-  /// refresh, utilization/SLA accounting, the power scan and the policy's
-  /// candidate scans run as per-pod shards (contiguous blocks without a
-  /// fabric) across this many workers, the caller included. 1 = serial
+  /// refresh, utilization/SLA accounting, the power scan and any per-shard
+  /// policy work (hierarchical Megh's pods) run as per-pod shards
+  /// (contiguous blocks without a fabric) across this many workers, the
+  /// caller included. 1 = serial
   /// (the timing-grade default), 0 = hardware concurrency. Decision
   /// outputs and every snapshot column except exec_ms are bit-identical
   /// at any value — all cross-shard merges are exact, and the few
