@@ -27,7 +27,8 @@ int read_checkpoint_version(std::istream& in, const std::string& context) {
   }
   int version = 0;
   const std::string_view digits = trimmed.substr(kPrefix.size());
-  if (digits.empty()) {
+  // At most 9 digits: the accumulation below cannot overflow an int.
+  if (digits.empty() || digits.size() > 9) {
     throw ConfigError("not a megh checkpoint (bad magic): " + context);
   }
   for (char c : digits) {

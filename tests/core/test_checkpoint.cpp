@@ -345,7 +345,7 @@ TEST_F(CheckpointTest, FuzzedVersionHeaderRejected) {
   for (const char* header :
        {"megh-checkpoint v9", "megh-checkpoint v0", "megh-checkpoint vx",
         "megh-checkpoint", "megh-checkpoint v4x", "megh-checkpoint v3",
-        "megh-checkpoint v2"}) {
+        "megh-checkpoint v2", "megh-checkpoint v99999999999999999999"}) {
     const auto path = dir_ / "fuzz.ckpt";
     std::ofstream(path) << header << "\npods 1 hosts 4 vms 6\n";
     EXPECT_THROW(load_megh_checkpoint(policy, path), ConfigError) << header;
