@@ -200,10 +200,13 @@ void generate_candidates(const Datacenter& dc,
     return host_util[static_cast<std::size_t>(a)] >
            host_util[static_cast<std::size_t>(b)];
   });
+  const auto overloaded_full = [&] {
+    return static_cast<int>(sources.size()) >= config.max_overloaded_sources;
+  };
   for (int h : overloaded) {
+    if (overloaded_full()) break;
     for (int vm : dc.vms_on(h)) {
-      if (static_cast<int>(sources.size()) >= config.max_overloaded_sources)
-        break;
+      if (overloaded_full()) break;
       push_source(vm, CandidateGroup::kOverloaded);
     }
   }
@@ -326,23 +329,29 @@ void generate_candidates(const Datacenter& dc,
       if (pabfd >= 0) push_candidate(vm, pabfd, current);
     }
 
-    // Packing target: the busiest active host that still fits under the
-    // pack ceiling (consolidation move), in-pod preferred when a fabric is
-    // attached (short copy path); first host wins ties.
+    // Packing target (consolidation move; in-pod preferred as a short copy
+    // path): the walk down active_hosts described in the header. A pick
+    // stays open through its whole utilization run because std::sort
+    // leaves ties in no particular order and the lowest index must win.
+    const int home_pod = network != nullptr ? network->pod_of(current) : -1;
     int pack = -1, pack_local = -1;
-    double pack_util = -1.0, pack_local_util = -1.0;
-    for (int h = host_lo; h < host_hi; ++h) {
-      const std::size_t i = static_cast<std::size_t>(h - host_lo);
-      if (h == current || scratch.host_active[i] == 0) continue;
+    double pack_util = 0.0, pack_local_util = 0.0;
+    for (auto it = active_hosts.rbegin(); it != active_hosts.rend(); ++it) {
+      const int h = *it;
       const double u = host_util[static_cast<std::size_t>(h)];
-      if (u <= pack_local_util && u <= pack_util) continue;
+      const bool global_open = pack < 0 || u == pack_util;
+      const bool local_open =
+          network != nullptr && (pack_local < 0 || u == pack_local_util);
+      if (!global_open && !local_open) break;
+      if (h == current) continue;
+      const bool in_pod = local_open && network->pod_of(h) == home_pod;
+      if (!global_open && !in_pod) continue;
       if (!feasible_fast(h, vm_ram, vm_mips, config.pack_ceiling)) continue;
-      if (u > pack_util) {
+      if (global_open && (pack < 0 || h < pack)) {
         pack = h;
         pack_util = u;
       }
-      if (network != nullptr && u > pack_local_util &&
-          network->pod_of(h) == network->pod_of(current)) {
+      if (in_pod && (pack_local < 0 || h < pack_local)) {
         pack_local = h;
         pack_local_util = u;
       }

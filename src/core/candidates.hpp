@@ -12,6 +12,16 @@
 // each paired with its current host (the no-op answering "when") plus a
 // sample of feasible targets including the PABFD choice.
 //
+// Every source is also offered a packing target: the busiest active host
+// that still fits it under pack_ceiling, the lowest host index on ties, a
+// host in the source's own fabric pod preferred. It comes from a walk down
+// the active-host list that the consolidation selection sorts by
+// utilization anyway, from its busiest end: the first feasible host fixes
+// the utilization u*, the rest of the u* run is checked for a lower index,
+// and the walk stops at the first lower utilization (with a fabric, once
+// the source's pod has its own pick). A source thus reads the hosts above
+// its pick, not the whole domain, and the pick equals a full scan's.
+//
 // Every candidate's Q-value is still read from the full θ over d, so the
 // critic is exact; only the actor's search support is sparsified.
 #pragma once

@@ -175,6 +175,11 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
   const ShardExecutor exec(make_step_shards(config_.network.get(),
                                             dc_.num_hosts()),
                            config_.jobs);
+  // The step's own per-host phases use the executor only on large fleets
+  // (see kMinParallelStepHosts); the policy always gets it for its pods.
+  const ShardExecutor* host_exec =
+      dc_.num_hosts() >= kMinParallelStepHosts && exec.parallel() ? &exec
+                                                                  : nullptr;
 
   policy.begin(dc_, config_.cost, config_.interval_s);
 
@@ -234,7 +239,7 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
       if (chaos == nullptr || !chaos->in_trace_gap()) {
         trace_.read_step(step, vm_util);
       }
-      dc_.set_demands(vm_util, &exec);
+      dc_.set_demands(vm_util, host_exec);
       sla.begin_interval(config_.interval_s);
     }
 
@@ -268,7 +273,7 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
     obs.interval_s = config_.interval_s;
     obs.dc = &dc_;
     obs.vm_util = vm_util;
-    dc_.all_host_utilization(host_util, &exec);
+    dc_.all_host_utilization(host_util, host_exec);
     obs.host_util = host_util;
     obs.last_step_cost = last_step_cost;
     obs.cost = &config_.cost;
@@ -393,8 +398,8 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
         for (int vm : dc_.vms_on(h)) sla.add_overload_downtime(vm, downtime);
       }
     };
-    if (exec.parallel()) {
-      exec.for_items(account_host);
+    if (host_exec != nullptr) {
+      host_exec->for_items(account_host);
     } else {
       for (int h = 0; h < dc_.num_hosts(); ++h) account_host(h);
     }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace megh {
 namespace {
@@ -115,6 +116,44 @@ TEST(BoltzmannTest, EqualQValuesUniform) {
   int counts[3] = {0, 0, 0};
   for (int i = 0; i < 30000; ++i) ++counts[sel.sample(q, rng)];
   for (int c : counts) EXPECT_NEAR(c, 10000, 700);
+}
+
+TEST(BoltzmannTest, WeightsAreExactlyTheExponential) {
+  // Bit-for-bit pin of weight k = exp(-(q_k - min_q) / temp), over spreads
+  // wide enough that some weights are subnormal and some underflow to 0:
+  // a weight rounded even one ulp off moves which action a draw picks.
+  Rng rng(11);
+  int subnormal = 0, zero = 0, one = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    BoltzmannSelector sel(rng.uniform(0.05, 5.0), 0.01);
+    for (int d = 0; d < trial % 50; ++d) sel.decay();
+    const double temp = sel.temperature();
+    const double min_q = rng.uniform(-40.0, 40.0);
+    std::vector<double> q{min_q};
+    for (int k = 0; k < 24; ++k) {
+      // Scaled gaps from 0 to beyond exp's underflow at about 745.13,
+      // half of them inside the subnormal band (708.4, 745.13).
+      const double gap = k % 2 == 0 ? rng.uniform(0.0, 760.0)
+                                    : rng.uniform(708.0, 746.0);
+      q.push_back(min_q + gap * temp);
+    }
+    std::vector<double> buffered;
+    sel.weights(q, buffered);
+    const std::vector<double> w = sel.weights(q);
+    ASSERT_EQ(w.size(), q.size());
+    ASSERT_EQ(buffered.size(), q.size());
+    for (std::size_t k = 0; k < q.size(); ++k) {
+      const double want = std::exp(-(q[k] - min_q) / temp);
+      EXPECT_EQ(w[k], want) << "trial " << trial << " k " << k;
+      EXPECT_EQ(buffered[k], want) << "trial " << trial << " k " << k;
+      if (std::fpclassify(want) == FP_SUBNORMAL) ++subnormal;
+      if (want == 0.0) ++zero;
+      if (want == 1.0) ++one;
+    }
+  }
+  EXPECT_GT(subnormal, 1000);
+  EXPECT_GT(zero, 50);
+  EXPECT_GE(one, 200);
 }
 
 }  // namespace

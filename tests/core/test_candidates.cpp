@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "sim/placement.hpp"
 
@@ -137,6 +141,359 @@ TEST(CandidatesTest, TargetsRespectRamFeasibility) {
     if (c.is_noop) continue;
     EXPECT_TRUE(dc.fits(c.vm, c.host));
   }
+}
+
+// ---- Packing walk vs the fleet scan it replaced ----
+
+/// The packing rule as a plain scan of the domain: the busiest active host
+/// that fits `vm` under the pack ceiling (strictly larger utilization wins,
+/// the first host wins ties), in-pod preferred when a fabric is attached.
+/// `local_differs` reports a fabric pick that overrode the global one.
+int scan_pack_target(const Datacenter& dc, std::span<const double> host_util,
+                     const CandidateConfig& config,
+                     const CandidateDomain& domain,
+                     const FatTreeTopology* network, int vm,
+                     bool& local_differs) {
+  const int current = dc.host_of(vm);
+  const double vm_mips = dc.vm_demand_mips(vm);
+  int pack = -1, pack_local = -1;
+  double pack_util = -1.0, pack_local_util = -1.0;
+  for (int h = domain.host_begin; h < domain.host_end; ++h) {
+    if (h == current || !dc.is_active(h)) continue;
+    const double u = host_util[static_cast<std::size_t>(h)];
+    if (u <= pack_local_util && u <= pack_util) continue;
+    if (!dc.fits(vm, h)) continue;
+    const double capacity = dc.host_spec(h).mips;
+    if (u * capacity + vm_mips > config.pack_ceiling * capacity + 1e-9)
+      continue;
+    if (u > pack_util) {
+      pack = h;
+      pack_util = u;
+    }
+    if (network != nullptr && u > pack_local_util &&
+        network->pod_of(h) == network->pod_of(current)) {
+      pack_local = h;
+      pack_local_util = u;
+    }
+  }
+  local_differs = pack_local >= 0 && pack_local != pack;
+  return pack_local >= 0 ? pack_local : pack;
+}
+
+/// Which packing situations a reference run met; the property test asserts
+/// every one of them was exercised.
+struct PackCoverage {
+  int tied = 0;            // two or more feasible hosts at the pick's util
+  int on_busiest = 0;       // source sits on a busiest active host
+  int infeasible = 0;       // no host takes the source
+  int zero_util = 0;        // pick at utilization 0
+  int at_ceiling = 0;       // pick at exactly pack_ceiling
+  int local_override = 0;   // in-pod pick differs from the global one
+};
+
+/// The sampled candidate path with the packing scan above, written
+/// against the public Datacenter accessors: the oracle for the walk.
+std::vector<CandidateAction> reference_candidates(
+    const Datacenter& dc, std::span<const double> host_util, double beta,
+    const ActionBasis& basis, const CandidateConfig& config,
+    const CandidateDomain& domain, Rng& rng, const FatTreeTopology* network,
+    PackCoverage& cov) {
+  if (!config.network_aware) network = nullptr;
+  const int lo = domain.host_begin, hi = domain.host_end;
+  const int width = hi - lo;
+  std::vector<std::pair<int, CandidateGroup>> sources;
+  std::set<int> seen;
+  const auto push_source = [&](int vm, CandidateGroup group) {
+    if (seen.insert(vm).second) sources.emplace_back(vm, group);
+  };
+  std::vector<int> overloaded;
+  for (int h = lo; h < hi; ++h) {
+    if (host_util[static_cast<std::size_t>(h)] > beta) overloaded.push_back(h);
+  }
+  std::sort(overloaded.begin(), overloaded.end(), [&](int a, int b) {
+    return host_util[static_cast<std::size_t>(a)] >
+           host_util[static_cast<std::size_t>(b)];
+  });
+  for (int h : overloaded) {
+    for (int vm : dc.vms_on(h)) {
+      if (static_cast<int>(sources.size()) >= config.max_overloaded_sources)
+        break;
+      push_source(vm, CandidateGroup::kOverloaded);
+    }
+  }
+  std::vector<int> active;
+  for (int h = lo; h < hi; ++h) {
+    if (dc.is_active(h)) active.push_back(h);
+  }
+  std::sort(active.begin(), active.end(), [&](int a, int b) {
+    return host_util[static_cast<std::size_t>(a)] <
+           host_util[static_cast<std::size_t>(b)];
+  });
+  int consolidation_added = 0;
+  for (int h : active) {
+    if (consolidation_added >= config.consolidation_sources) break;
+    for (int vm : dc.vms_on(h)) {
+      if (consolidation_added >= config.consolidation_sources) break;
+      push_source(vm, CandidateGroup::kConsolidation);
+      ++consolidation_added;
+    }
+  }
+  for (int i = 0; i < config.random_sources && !domain.vms.empty(); ++i) {
+    push_source(domain.vms[rng.index(domain.vms.size())],
+                CandidateGroup::kExploration);
+  }
+  const double busiest =
+      host_util[static_cast<std::size_t>(active.empty() ? lo : active.back())];
+
+  std::vector<CandidateAction> out;
+  std::set<std::int64_t> indices;
+  CandidateGroup group = CandidateGroup::kExploration;
+  const auto push = [&](int vm, int host, int current) {
+    const std::int64_t index = basis.index(vm, host);
+    if (indices.insert(index).second) {
+      out.push_back(CandidateAction{vm, host, index, host == current, group});
+    }
+  };
+  const auto feasible = [&](int vm, int h, double ceiling) {
+    if (!dc.fits(vm, h)) return false;
+    const double capacity = dc.host_spec(h).mips;
+    return host_util[static_cast<std::size_t>(h)] * capacity +
+               dc.vm_demand_mips(vm) <=
+           ceiling * capacity + 1e-9;
+  };
+  for (const auto& [vm, source_group] : sources) {
+    const int current = dc.host_of(vm);
+    const double vm_mips = dc.vm_demand_mips(vm);
+    group = source_group;
+    push(vm, current, current);
+    if (group != CandidateGroup::kConsolidation) {
+      int pabfd = -1;
+      bool pabfd_active = false;
+      double best = std::numeric_limits<double>::infinity();
+      for (int h = lo; h < hi; ++h) {
+        if (h == current || !dc.fits(vm, h)) continue;
+        const double u = host_util[static_cast<std::size_t>(h)];
+        const double after = u + vm_mips / dc.host_spec(h).mips;
+        if (after > config.target_util_ceiling + 1e-9) continue;
+        const bool on = dc.is_active(h);
+        const PowerModel& power = dc.host_spec(h).power;
+        const double base = on ? power.watts(std::min(1.0, u))
+                               : power.sleep_watts();
+        const double increase = power.watts(std::min(1.0, after)) - base;
+        if (pabfd < 0 || (on && !pabfd_active) ||
+            (on == pabfd_active && increase < best)) {
+          pabfd = h;
+          best = increase;
+          pabfd_active = on;
+        }
+      }
+      if (pabfd >= 0) push(vm, pabfd, current);
+    }
+
+    bool local_differs = false;
+    const int pack = scan_pack_target(dc, host_util, config, domain, network,
+                                      vm, local_differs);
+    if (host_util[static_cast<std::size_t>(current)] == busiest)
+      ++cov.on_busiest;
+    if (local_differs) ++cov.local_override;
+    if (pack < 0) {
+      ++cov.infeasible;
+    } else {
+      const double u = host_util[static_cast<std::size_t>(pack)];
+      if (u == 0.0) ++cov.zero_util;
+      if (u == config.pack_ceiling) ++cov.at_ceiling;
+      int at_u = 0;
+      for (int h = lo; h < hi; ++h) {
+        if (h != current && dc.is_active(h) &&
+            host_util[static_cast<std::size_t>(h)] == u &&
+            feasible(vm, h, config.pack_ceiling) &&
+            (network == nullptr ||
+             network->pod_of(h) == network->pod_of(pack))) {
+          ++at_u;
+        }
+      }
+      if (at_u >= 2) ++cov.tied;
+      push(vm, pack, current);
+    }
+
+    if (group == CandidateGroup::kConsolidation) continue;
+    int added = 0;
+    const int probes = std::min(width, 4 * config.targets_per_source);
+    for (int i = 0; i < probes && added < config.targets_per_source; ++i) {
+      int h;
+      if (network != nullptr && rng.bernoulli(config.local_probe_fraction)) {
+        const int pod_base =
+            network->pod_of(current) * network->hosts_per_pod();
+        h = pod_base + static_cast<int>(rng.index(static_cast<std::size_t>(
+                           network->hosts_per_pod())));
+        if (h >= dc.num_hosts()) continue;
+      } else {
+        h = lo + static_cast<int>(rng.index(static_cast<std::size_t>(width)));
+      }
+      if (h < lo || h >= hi || h == current) continue;
+      if (!feasible(vm, h, config.target_util_ceiling)) continue;
+      push(vm, h, current);
+      ++added;
+    }
+  }
+  return out;
+}
+
+/// A fleet built to stress the packing rule: few utilization levels (so
+/// ties are common) including 0 and exactly pack_ceiling, some empty
+/// hosts, zero-demand VMs that fit a host at the ceiling, and VMs too
+/// large to pack anywhere. `host_util` is set directly, independent of the
+/// VM demands: the generator reads both as given.
+struct PackingFleet {
+  Datacenter dc;
+  ActionBasis basis;
+  std::vector<double> host_util;
+
+  static PackingFleet make(std::uint64_t seed, int hosts, double ceiling) {
+    Rng rng(seed);
+    const int vms = hosts * 3 / 2;
+    std::vector<VmSpec> specs;
+    std::vector<double> demands;
+    for (int v = 0; v < vms; ++v) {
+      const bool huge = rng.bernoulli(0.125);
+      specs.push_back(VmSpec{huge ? 4000.0 : 1000.0,
+                             512.0 * static_cast<double>(1 + rng.index(3)),
+                             100.0});
+      const double levels[] = {0.0, 0.25, 0.5, 1.0};
+      demands.push_back(huge ? 1.0 : levels[rng.index(4)]);
+    }
+    Datacenter dc(standard_host_fleet(hosts), specs);
+    std::vector<int> open;  // about a fifth of the hosts stay empty
+    for (int h = 0; h < hosts; ++h) {
+      if (!rng.bernoulli(0.2)) open.push_back(h);
+    }
+    for (int v = 0; v < vms; ++v) {
+      int host = -1;
+      for (int tries = 0; tries < 16 && host < 0; ++tries) {
+        const int h = open[rng.index(open.size())];
+        if (dc.fits(v, h)) host = h;
+      }
+      for (int h = 0; h < hosts && host < 0; ++h) {
+        if (dc.fits(v, h)) host = h;
+      }
+      dc.place(v, host);
+    }
+    dc.set_demands(demands);
+    const double levels[] = {0.0, 0.1, 0.2, 0.3, 0.45, 0.5,
+                             0.6, ceiling, 0.8, 1.1};
+    std::vector<double> host_util(static_cast<std::size_t>(hosts));
+    for (double& u : host_util) u = levels[rng.index(std::size(levels))];
+    return {std::move(dc), ActionBasis(vms, hosts), std::move(host_util)};
+  }
+};
+
+std::string rng_state(const Rng& rng) {
+  std::ostringstream out;
+  rng.save(out);
+  return out.str();
+}
+
+void expect_same_candidates(const std::vector<CandidateAction>& want,
+                            const std::vector<CandidateAction>& got,
+                            const std::string& where) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const CandidateAction& a = want[i];
+    const CandidateAction& b = got[i];
+    ASSERT_TRUE(a.vm == b.vm && a.host == b.host && a.index == b.index &&
+                a.is_noop == b.is_noop && a.group == b.group)
+        << where << ": candidate " << i << " is (vm " << b.vm << ", host "
+        << b.host << ", group " << static_cast<int>(b.group)
+        << "), the scan gives (vm " << a.vm << ", host " << a.host
+        << ", group " << static_cast<int>(a.group) << ")";
+  }
+}
+
+TEST(CandidatesTest, PackingWalkMatchesFleetScan) {
+  enum class Shape { kFleetNoFabric, kFleetOnFabric, kPodDomains };
+  PackCoverage cov;
+  int calls = 0;
+  for (Shape shape :
+       {Shape::kFleetNoFabric, Shape::kFleetOnFabric, Shape::kPodDomains}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      CandidateConfig config;
+      config.full_enumeration_limit = 0;  // sampled path at every size
+      config.random_sources = 12;
+      const int hosts = 30 + static_cast<int>(seed % 7) * 13;  // 30..108
+      const PackingFleet f =
+          PackingFleet::make(seed, hosts, config.pack_ceiling);
+      const FatTreeTopology fabric = FatTreeTopology::for_hosts(hosts);
+      const FatTreeTopology* network =
+          shape == Shape::kFleetNoFabric ? nullptr : &fabric;
+
+      std::vector<std::pair<int, int>> ranges;
+      if (shape == Shape::kPodDomains) {
+        for (int b = 0; b < hosts; b += fabric.hosts_per_pod()) {
+          ranges.emplace_back(b, std::min(hosts, b + fabric.hosts_per_pod()));
+        }
+      } else {
+        ranges.emplace_back(0, hosts);
+      }
+      std::vector<std::int32_t> slots(static_cast<std::size_t>(f.dc.num_vms()));
+      for (int v = 0; v < f.dc.num_vms(); ++v) {
+        slots[static_cast<std::size_t>(v)] = v;
+      }
+      CandidateScratch scratch;  // reused across domains, as a pod would
+      for (const auto& [begin, end] : ranges) {
+        std::vector<int> vms;
+        for (int v = 0; v < f.dc.num_vms(); ++v) {
+          const int h = f.dc.host_of(v);
+          if (h >= begin && h < end) vms.push_back(v);
+        }
+        if (vms.empty()) continue;
+        CandidateDomain domain;
+        domain.host_begin = begin;
+        domain.host_end = end;
+        domain.vms = vms;
+        domain.vm_slot = slots;
+        domain.slot_capacity = f.dc.num_vms();
+
+        Rng rng(seed * 1000 + static_cast<std::uint64_t>(begin));
+        Rng ref_rng = rng;
+        const auto want =
+            reference_candidates(f.dc, f.host_util, 0.7, f.basis, config,
+                                 domain, ref_rng, network, cov);
+        generate_candidates(f.dc, f.host_util, 0.7, f.basis, config, domain,
+                            rng, scratch, network);
+        const std::string where = "shape " +
+                                  std::to_string(static_cast<int>(shape)) +
+                                  " seed " + std::to_string(seed) +
+                                  " hosts [" + std::to_string(begin) + ", " +
+                                  std::to_string(end) + ")";
+        expect_same_candidates(want, scratch.candidates, where);
+        EXPECT_EQ(rng_state(ref_rng), rng_state(rng)) << where;
+        ++calls;
+      }
+    }
+  }
+  EXPECT_GT(calls, 120);
+  // Every situation the walk must get right was met at least once.
+  EXPECT_GT(cov.tied, 0);
+  EXPECT_GT(cov.on_busiest, 0);
+  EXPECT_GT(cov.infeasible, 0);
+  EXPECT_GT(cov.zero_util, 0);
+  EXPECT_GT(cov.at_ceiling, 0);
+  EXPECT_GT(cov.local_override, 0);
+}
+
+TEST(CandidatesTest, OverloadedSourcesStopAtTheirCap) {
+  World w = World::make(30, 60, 0.1);
+  for (int h = 0; h < 10; ++h) w.host_util[static_cast<std::size_t>(h)] = 0.9;
+  CandidateConfig config;
+  config.max_overloaded_sources = 5;  // ten overloaded hosts hold 20 VMs
+  Rng rng(7);
+  const auto cands = generate_candidates(w.dc, w.host_util, 0.7, w.basis,
+                                         config, rng);
+  std::set<int> overloaded_sources;
+  for (const auto& c : cands) {
+    if (c.group == CandidateGroup::kOverloaded) overloaded_sources.insert(c.vm);
+  }
+  EXPECT_EQ(overloaded_sources.size(), 5u);
 }
 
 }  // namespace

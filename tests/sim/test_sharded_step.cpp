@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "baselines/mmt_policy.hpp"
+#include "baselines/simple_policies.hpp"
 #include "chaos/fault_plan.hpp"
 #include "core/candidates.hpp"
 #include "core/megh_policy.hpp"
@@ -102,8 +103,10 @@ void expect_identical(const RunOutput& a, const RunOutput& b,
 TEST(ShardedStepTest, MeghPodShardedBitIdenticalAcrossJobs) {
   // 32 hosts on a k=6 fabric: 4 pods of 9 hosts, the last clipped to 5 —
   // the ragged-pod case. d = 32 × 48 = 1536 > 1500 keeps Megh on the
-  // sampled candidate path; the step fans out over the executor while
-  // flat Megh decides on its one fleet-wide pod.
+  // sampled candidate path; flat Megh decides on its one fleet-wide pod.
+  // The fleet is below kMinParallelStepHosts, so the step's per-host
+  // phases stay serial at every job count (PooledPerHostPhases covers
+  // their pooled path).
   const Scenario scenario = make_planetlab_scenario(32, 48, 100, 5);
   const auto fabric = std::make_shared<const FatTreeTopology>(
       FatTreeTopology::for_hosts(32));
@@ -137,12 +140,46 @@ TEST(ShardedStepTest, ThrMmtBitIdenticalAcrossJobs) {
 
 TEST(ShardedStepTest, FabricFreeBlockShardsBitIdenticalAcrossJobs) {
   // No topology → kDefaultShardHosts-sized blocks; 600 hosts gives three
-  // shards, so the parallel path genuinely fans out.
+  // shards, so THR-MMT's PABFD fold genuinely fans out (the step's own
+  // per-host phases stay serial below kMinParallelStepHosts).
   const Scenario scenario = make_planetlab_scenario(600, 300, 25, 9);
   const auto make_mmt = [] { return make_thr_mmt(0.7, 3); };
   const RunOutput serial = run_with_jobs(scenario, 1, make_mmt, nullptr);
   expect_identical(serial, run_with_jobs(scenario, 4, make_mmt, nullptr),
                    "block-shard jobs 1 vs 4");
+}
+
+TEST(ShardedStepTest, PooledPerHostPhasesBitIdenticalAcrossJobs) {
+  // A fleet above kMinParallelStepHosts (17 blocks): the step's demand
+  // refresh, utilization snapshot and settle accounting fan out over the
+  // pool. A fault plan adds down hosts, aborts and trace gaps to the
+  // pooled settle phase. Random migrations keep the policy cheap.
+  constexpr int kHosts = kMinParallelStepHosts + 200;
+  constexpr int kSteps = 20;
+  const Scenario scenario = make_planetlab_scenario(kHosts, 600, kSteps, 9);
+  const auto make_random = [] {
+    return std::make_unique<RandomPolicy>(8, 3);
+  };
+  const RunOutput serial = run_with_jobs(scenario, 1, make_random, nullptr);
+  ASSERT_GT(serial.result.totals.migrations, 0);
+  expect_identical(serial, run_with_jobs(scenario, 4, make_random, nullptr),
+                   "pooled per-host jobs 1 vs 4");
+
+  FaultPlanConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 5;
+  chaos.migration_abort_rate = 0.25;
+  chaos.host_failure_rate = 0.02;
+  chaos.trace_gap_rate = 0.1;
+  const auto plan = std::make_shared<const FaultPlan>(
+      FaultPlan::compile(chaos, kHosts, kSteps));
+  ASSERT_FALSE(plan->zero());
+  const RunOutput faulted =
+      run_with_jobs(scenario, 1, make_random, nullptr, plan);
+  ASSERT_GT(faulted.result.totals.fault_events, 0);
+  expect_identical(faulted,
+                   run_with_jobs(scenario, 4, make_random, nullptr, plan),
+                   "pooled per-host chaos jobs 1 vs 4");
 }
 
 TEST(ShardedStepTest, ChaosRunBitIdenticalAcrossJobs) {
