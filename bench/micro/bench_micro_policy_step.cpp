@@ -5,6 +5,7 @@
 
 #include "baselines/madvm.hpp"
 #include "baselines/mmt_policy.hpp"
+#include "core/candidates.hpp"
 #include "core/megh_policy.hpp"
 #include "harness/scenario.hpp"
 
@@ -73,6 +74,44 @@ void BM_MadVmDecide(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MadVmDecide)->Arg(100)->Arg(200);
+
+// Megh's candidate layer alone: one generate_candidates call over the whole
+// fleet (flat Megh's one pod) on a fixed PlanetLab-style utilization
+// snapshot, with the PlanetLab VM:host ratio and a scratch reused across
+// calls as a pod reuses it across steps.
+void BM_GenerateCandidates(benchmark::State& state) {
+  const int hosts = static_cast<int>(state.range(0));
+  const int vms = hosts * 1052 / 800;
+  const Scenario scenario = make_planetlab_scenario(hosts, vms, 4, 9);
+  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 2);
+  std::vector<double> vm_util(static_cast<std::size_t>(vms));
+  for (int vm = 0; vm < vms; ++vm) {
+    vm_util[static_cast<std::size_t>(vm)] = scenario.trace.at(vm, 0);
+  }
+  dc.set_demands(vm_util);
+  const std::vector<double> host_util = dc.all_host_utilization();
+  const ActionBasis basis(vms, hosts);
+  std::vector<int> placed;
+  std::vector<std::int32_t> slots(static_cast<std::size_t>(vms));
+  for (int vm = 0; vm < vms; ++vm) {
+    slots[static_cast<std::size_t>(vm)] = vm;
+    if (dc.host_of(vm) != kUnplaced) placed.push_back(vm);
+  }
+  CandidateDomain domain;
+  domain.host_end = hosts;
+  domain.vms = placed;
+  domain.vm_slot = slots;
+  domain.slot_capacity = vms;
+  const CandidateConfig config;
+  CandidateScratch scratch;
+  Rng rng(7);
+  for (auto _ : state) {
+    generate_candidates(dc, host_util, 0.7, basis, config, domain, rng,
+                        scratch);
+    benchmark::DoNotOptimize(scratch.candidates.data());
+  }
+}
+BENCHMARK(BM_GenerateCandidates)->Arg(100)->Arg(800);
 
 }  // namespace
 }  // namespace megh

@@ -12,6 +12,22 @@
 // each paired with its current host (the no-op answering "when") plus a
 // sample of feasible targets including the PABFD choice.
 //
+// The PABFD target (power-aware best fit, offered to every source outside
+// the consolidation group) is the lexicographic argmin of (sleeping, power
+// increase, host index) over the feasible hosts. That argmin does not
+// depend on visit order, so the fold visits hosts bucket by bucket: hosts
+// are grouped once per scratch into types of equal (mips, power table),
+// and every step the active hosts are bucketed by (type, segment), the
+// segment being k = ⌊10·u⌋ (k = 10 for u ≥ 1). For a source with
+// Δ = vm_mips / mips the increase on a bucket is bounded below by the
+// minimum of g(u) = W(min(1, u + Δ)) − W(min(1, u)) over the bucket's
+// feasible u-range; g is piecewise linear there, so that minimum sits at
+// a range end or at the one point where u + Δ crosses a knot. Buckets are
+// visited by ascending bound and the fold stops at the first bound that,
+// less a rounding margin, exceeds the best increase found; sleeping hosts
+// are probed only when no active host is feasible. The proof is in
+// docs/PERFORMANCE.md; the winner is the one a full scan would pick.
+//
 // Every source is also offered a packing target: the busiest active host
 // that still fits it under pack_ceiling, the lowest host index on ties, a
 // host in the source's own fabric pod preferred. It comes from a walk down
@@ -22,10 +38,16 @@
 // the source's pod has its own pick). A source thus reads the hosts above
 // its pick, not the whole domain, and the pick equals a full scan's.
 //
+// Both host orders are canonical, independent of the standard library:
+// active hosts by (utilization ascending, index ascending), from a stable
+// LSD radix sort on the utilization's bit pattern, and overloaded hosts by
+// (utilization descending, index ascending).
+//
 // Every candidate's Q-value is still read from the full θ over d, so the
 // critic is exact; only the actor's search support is sparsified.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -146,7 +168,37 @@ struct CandidateScratch {
   std::vector<double> host_ram_cap;
   std::vector<double> host_base_watts;
   std::vector<const PowerModel*> host_power;
-  std::vector<std::uint8_t> host_active;
+  // Radix-sort buffers for the active-host order: the utilization keys of
+  // `active_hosts` and the ping-pong halves of both.
+  std::vector<std::uint64_t> sort_keys;
+  std::vector<std::uint64_t> sort_keys_tmp;
+  std::vector<int> sort_hosts_tmp;
+
+  /// Hosts of equal mips and equal power table (compared by value: every
+  /// HostSpec owns its own PowerModel) share a type and so a PABFD bound.
+  struct HostType {
+    double mips = 0.0;
+    std::array<double, 11> table{};
+    const PowerModel* power = nullptr;  // any member's model
+    double margin = 0.0;  // rounding margin of the type's bounds
+  };
+  // Host types of the domain, built on the first call for a (Datacenter,
+  // host range) and kept: a host's spec never changes within a run.
+  std::vector<HostType> types;
+  std::vector<int> host_type;  // per domain host
+  const Datacenter* types_dc = nullptr;
+  int types_begin = -1;
+  int types_end = -1;
+  // This step's PABFD buckets (type × 11 segments): active hosts grouped
+  // by bucket, ascending inside one, bucket b spanning
+  // bucket_hosts[bucket_start[b] .. bucket_start[b + 1]).
+  std::vector<int> host_bucket;  // per domain host; set for active ones
+  std::vector<int> bucket_start;
+  std::vector<int> bucket_fill;  // write cursors while bucketing
+  std::vector<int> bucket_hosts;
+  std::vector<int> nonempty_buckets;  // ascending bucket ids
+  std::vector<double> bucket_bound;   // per nonempty bucket, per source
+  std::vector<int> sleeping_hosts;    // ascending
 };
 
 /// Build this step's candidate set for `domain` into `scratch.candidates`

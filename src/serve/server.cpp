@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -264,6 +265,18 @@ void MeghServer::validate_decide(const DecideRequest& req) {
     MEGH_REQUIRE(h >= kUnplaced && h < num_hosts,
                  "serve: host_of entry out of range");
   }
+  // Values, not just shapes: set_demands asserts vm_util in [0, 1], the
+  // candidate generator's host orders and buckets need host_util >= 0 and
+  // not NaN, and the cost feeds the learner. (`!(x >= 0)` rejects NaN.)
+  for (double u : req.vm_util) {
+    MEGH_REQUIRE(u >= 0.0 && u <= 1.0, "serve: Decide vm_util outside [0, 1]");
+  }
+  for (double u : req.host_util) {
+    MEGH_REQUIRE(u >= 0.0 && std::isfinite(u),
+                 "serve: Decide host_util must be finite and non-negative");
+  }
+  MEGH_REQUIRE(std::isfinite(req.last_step_cost),
+               "serve: Decide last_step_cost must be finite");
   // RAM-feasibility of the requested final placement, so apply_decide's
   // reconciliation cannot throw mid-mutation on a fleet the engine never
   // realized. The mirror's own occupancy sums are list-order re-sums;

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "sim/placement.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace megh {
 namespace {
@@ -191,13 +194,101 @@ struct PackCoverage {
   int local_override = 0;   // in-pod pick differs from the global one
 };
 
-/// The sampled candidate path with the packing scan above, written
-/// against the public Datacenter accessors: the oracle for the walk.
+/// PABFD as a full fold over the domain [lo, hi): the feasible host with
+/// the smallest (sleeping, power increase, index), `exclude` skipped. The
+/// oracle for the bucketed fold.
+int fold_pabfd(const Datacenter& dc, std::span<const double> host_util,
+               double ceiling, int lo, int hi, int vm, int exclude) {
+  const double vm_mips = dc.vm_demand_mips(vm);
+  int pabfd = -1;
+  bool pabfd_active = false;
+  double best = std::numeric_limits<double>::infinity();
+  for (int h = lo; h < hi; ++h) {
+    if (h == exclude || !dc.fits(vm, h)) continue;
+    const double u = host_util[static_cast<std::size_t>(h)];
+    const double after = u + vm_mips / dc.host_spec(h).mips;
+    if (after > ceiling + 1e-9) continue;
+    const bool on = dc.is_active(h);
+    const PowerModel& power = dc.host_spec(h).power;
+    const double base = on ? power.watts(std::min(1.0, u))
+                           : power.sleep_watts();
+    const double increase = power.watts(std::min(1.0, after)) - base;
+    if (pabfd < 0 || (on && !pabfd_active) ||
+        (on == pabfd_active && increase < best)) {
+      pabfd = h;
+      best = increase;
+      pabfd_active = on;
+    }
+  }
+  return pabfd;
+}
+
+/// Which PABFD situations a reference run met; the fold test asserts
+/// every one of them was exercised.
+struct PabfdCoverage {
+  int sources = 0;
+  int sleeping_pick = 0;   // no active host fits, a sleeping one does
+  int on_best_host = 0;    // the source already sits on the fold's pick
+  int exact_tie = 0;       // another feasible active host has the same increase
+  int noise_tie = 0;       // ... or one within rounding noise of it
+  int on_knot = 0;         // a feasible active host gets u + Δ exactly j/10
+  int at_ceiling = 0;      // ... or u + Δ exactly the ceiling
+  int pick_on_tenth = 0;   // the pick sits at u exactly k/10
+  int saturated_pick = 0;  // the pick sits at u >= 1
+};
+
+/// Classify one PABFD source for the coverage counters.
+void record_pabfd(const Datacenter& dc, std::span<const double> host_util,
+                  double ceiling, int lo, int hi, int vm, int pick,
+                  PabfdCoverage& cov) {
+  ++cov.sources;
+  const int current = dc.host_of(vm);
+  if (pick >= 0 && !dc.is_active(pick)) ++cov.sleeping_pick;
+  if (fold_pabfd(dc, host_util, ceiling, lo, hi, vm, -1) == current) {
+    ++cov.on_best_host;
+  }
+  if (pick < 0 || !dc.is_active(pick)) return;
+  const double vm_mips = dc.vm_demand_mips(vm);
+  const auto increase = [&](int h) {
+    const double u = host_util[static_cast<std::size_t>(h)];
+    const PowerModel& power = dc.host_spec(h).power;
+    return power.watts(std::min(1.0, u + vm_mips / dc.host_spec(h).mips)) -
+           power.watts(std::min(1.0, u));
+  };
+  const double best = increase(pick);
+  const double u_pick = host_util[static_cast<std::size_t>(pick)];
+  if (u_pick >= 1.0) ++cov.saturated_pick;
+  if (u_pick == std::round(u_pick * 10.0) / 10.0) ++cov.pick_on_tenth;
+  bool exact = false, noise = false, knot = false, at_cap = false;
+  for (int h = lo; h < hi; ++h) {
+    if (h == current || !dc.is_active(h) || !dc.fits(vm, h)) continue;
+    const double after = host_util[static_cast<std::size_t>(h)] +
+                         vm_mips / dc.host_spec(h).mips;
+    if (after > ceiling + 1e-9) continue;
+    if (after == ceiling) at_cap = true;
+    if (after < 1.0 && after == std::round(after * 10.0) / 10.0) knot = true;
+    if (h == pick) continue;
+    const double gap = increase(h) - best;
+    if (gap == 0.0) exact = true;
+    if (gap != 0.0 &&
+        std::abs(gap) <= 1e-9 * dc.host_spec(h).power.max_watts()) {
+      noise = true;
+    }
+  }
+  cov.exact_tie += exact ? 1 : 0;
+  cov.noise_tie += noise ? 1 : 0;
+  cov.on_knot += knot ? 1 : 0;
+  cov.at_ceiling += at_cap ? 1 : 0;
+}
+
+/// The sampled candidate path with the packing scan above and the full
+/// PABFD fold, written against the public Datacenter accessors: the oracle
+/// for the packing walk and the bucketed fold.
 std::vector<CandidateAction> reference_candidates(
     const Datacenter& dc, std::span<const double> host_util, double beta,
     const ActionBasis& basis, const CandidateConfig& config,
     const CandidateDomain& domain, Rng& rng, const FatTreeTopology* network,
-    PackCoverage& cov) {
+    PackCoverage& cov, PabfdCoverage* pabfd_cov = nullptr) {
   if (!config.network_aware) network = nullptr;
   const int lo = domain.host_begin, hi = domain.host_end;
   const int width = hi - lo;
@@ -210,9 +301,11 @@ std::vector<CandidateAction> reference_candidates(
   for (int h = lo; h < hi; ++h) {
     if (host_util[static_cast<std::size_t>(h)] > beta) overloaded.push_back(h);
   }
+  // Both host orders are canonical: ties go to the lower host index.
   std::sort(overloaded.begin(), overloaded.end(), [&](int a, int b) {
-    return host_util[static_cast<std::size_t>(a)] >
-           host_util[static_cast<std::size_t>(b)];
+    const double ua = host_util[static_cast<std::size_t>(a)];
+    const double ub = host_util[static_cast<std::size_t>(b)];
+    return ua > ub || (ua == ub && a < b);
   });
   for (int h : overloaded) {
     for (int vm : dc.vms_on(h)) {
@@ -226,8 +319,9 @@ std::vector<CandidateAction> reference_candidates(
     if (dc.is_active(h)) active.push_back(h);
   }
   std::sort(active.begin(), active.end(), [&](int a, int b) {
-    return host_util[static_cast<std::size_t>(a)] <
-           host_util[static_cast<std::size_t>(b)];
+    const double ua = host_util[static_cast<std::size_t>(a)];
+    const double ub = host_util[static_cast<std::size_t>(b)];
+    return ua < ub || (ua == ub && a < b);
   });
   int consolidation_added = 0;
   for (int h : active) {
@@ -263,29 +357,14 @@ std::vector<CandidateAction> reference_candidates(
   };
   for (const auto& [vm, source_group] : sources) {
     const int current = dc.host_of(vm);
-    const double vm_mips = dc.vm_demand_mips(vm);
     group = source_group;
     push(vm, current, current);
     if (group != CandidateGroup::kConsolidation) {
-      int pabfd = -1;
-      bool pabfd_active = false;
-      double best = std::numeric_limits<double>::infinity();
-      for (int h = lo; h < hi; ++h) {
-        if (h == current || !dc.fits(vm, h)) continue;
-        const double u = host_util[static_cast<std::size_t>(h)];
-        const double after = u + vm_mips / dc.host_spec(h).mips;
-        if (after > config.target_util_ceiling + 1e-9) continue;
-        const bool on = dc.is_active(h);
-        const PowerModel& power = dc.host_spec(h).power;
-        const double base = on ? power.watts(std::min(1.0, u))
-                               : power.sleep_watts();
-        const double increase = power.watts(std::min(1.0, after)) - base;
-        if (pabfd < 0 || (on && !pabfd_active) ||
-            (on == pabfd_active && increase < best)) {
-          pabfd = h;
-          best = increase;
-          pabfd_active = on;
-        }
+      const int pabfd = fold_pabfd(dc, host_util, config.target_util_ceiling,
+                                   lo, hi, vm, current);
+      if (pabfd_cov != nullptr) {
+        record_pabfd(dc, host_util, config.target_util_ceiling, lo, hi, vm,
+                     pabfd, *pabfd_cov);
       }
       if (pabfd >= 0) push(vm, pabfd, current);
     }
@@ -479,6 +558,297 @@ TEST(CandidatesTest, PackingWalkMatchesFleetScan) {
   EXPECT_GT(cov.zero_util, 0);
   EXPECT_GT(cov.at_ceiling, 0);
   EXPECT_GT(cov.local_override, 0);
+}
+
+// ---- Bucketed PABFD fold vs the full fold it replaced ----
+
+/// A fleet built to stress the PABFD bound: five host types (the G4 table
+/// at two mips, and at one mips shared with a table that is flat over
+/// 0.3–0.5; a linear table, on which increases on different segments tie
+/// up to rounding; the G5 table), utilizations at exactly k/10, on a 1/16
+/// grid (so u + Δ can land exactly on a knot or on the ceiling), crowded
+/// on one segment, spread up to 1.3, and sleeping hosts that only some
+/// VMs fit. Every table is multiplied by `scale`; at 1e4 they reach about
+/// 1e6 W, so a margin that did not scale with the table would show.
+/// `host_util` is set directly.
+struct PabfdFleet {
+  Datacenter dc;
+  ActionBasis basis;
+  std::vector<double> host_util;
+
+  static PowerModel scaled(const std::string& name,
+                           const std::array<double, 11>& table, double sleep,
+                           double scale) {
+    std::array<double, 11> watts = table;
+    for (double& w : watts) w *= scale;
+    return PowerModel(name, watts, sleep * scale);
+  }
+
+  static std::vector<HostSpec> host_types(double scale) {
+    const PowerModel g4 =
+        scaled("g4", hp_proliant_g4_power().table(), 0.0, scale);
+    const PowerModel g5 =
+        scaled("g5", hp_proliant_g5_power().table(), 0.0, scale);
+    const PowerModel flat =
+        scaled("flat", {80.0, 84.0, 88.0, 95.0, 95.0, 95.0, 101.0, 104.0,
+                        110.0, 112.0, 120.0},
+               12.0, scale);
+    const PowerModel linear =
+        scaled("linear", {100.0, 102.0, 104.0, 106.0, 108.0, 110.0, 112.0,
+                          114.0, 116.0, 118.0, 120.0},
+               10.0, scale);
+    return {HostSpec{"g4", 3720.0, 4096.0, 1000.0, g4},
+            HostSpec{"g4-fast", 5000.0, 4096.0, 1000.0, g4},
+            HostSpec{"flat", 3720.0, 4096.0, 1000.0, flat},
+            HostSpec{"linear", 5320.0, 4096.0, 1000.0, linear},
+            HostSpec{"g5", 4000.0, 4096.0, 1000.0, g5}};
+  }
+
+  static double draw_util(Rng& rng) {
+    switch (rng.index(4)) {
+      case 0:  // exactly k/10, up to 1.2
+        return static_cast<double>(rng.index(13)) / 10.0;
+      case 1:  // on the 1/16 grid, up to 1.25
+        return static_cast<double>(rng.index(21)) / 16.0;
+      case 2:  // crowded on one segment
+        return rng.uniform(0.6, 0.7);
+      default:
+        return rng.uniform(0.0, 1.3);
+    }
+  }
+
+  static PabfdFleet make(std::uint64_t seed, int hosts, double scale) {
+    Rng rng(seed);
+    const std::vector<HostSpec> types = host_types(scale);
+    std::vector<HostSpec> fleet;
+    for (int h = 0; h < hosts; ++h) fleet.push_back(types[rng.index(5)]);
+    const int vms = hosts * 3 / 2;
+    std::vector<VmSpec> specs;
+    std::vector<double> demands;
+    const double rams[] = {512.0, 1024.0, 2048.0, 3584.0};
+    const double levels[] = {0.0, 0.125, 0.25, 0.5, 1.0};
+    for (int v = 0; v < vms; ++v) {
+      specs.push_back(VmSpec{rng.bernoulli(0.5) ? 1000.0 : 2000.0,
+                             rams[rng.index(4)], 100.0});
+      demands.push_back(levels[rng.index(5)]);
+    }
+    Datacenter dc(std::move(fleet), specs);
+    std::vector<int> open;  // about a fifth of the hosts stay empty
+    for (int h = 0; h < hosts; ++h) {
+      if (!rng.bernoulli(0.2)) open.push_back(h);
+    }
+    for (int v = 0; v < vms; ++v) {
+      int host = -1;
+      for (int tries = 0; tries < 16 && host < 0; ++tries) {
+        const int h = open[rng.index(open.size())];
+        if (dc.fits(v, h)) host = h;
+      }
+      if (host >= 0) dc.place(v, host);  // the rest stay unplaced
+    }
+    dc.set_demands(demands);
+    std::vector<double> host_util(static_cast<std::size_t>(hosts), 0.0);
+    for (int h = 0; h < hosts; ++h) {
+      if (dc.is_active(h)) {
+        host_util[static_cast<std::size_t>(h)] = draw_util(rng);
+      }
+    }
+    return {std::move(dc), ActionBasis(vms, hosts), std::move(host_util)};
+  }
+};
+
+TEST(CandidatesTest, BucketedPabfdMatchesFleetFold) {
+  PackCoverage pack_cov;
+  PabfdCoverage cov;
+  int calls = 0;
+  {
+    // A hand-built case where the pick sits on its bucket's inner knot
+    // crossing. Table "v" has slopes 5, 5, 1, 9, 5, ... per segment, so
+    // for Δ = 0.15 the increase on bucket 1 falls from 5.5 W at u = 0.1 to
+    // 3.5 W at u = 0.15 (u + Δ = 0.3) and rises back to 5.5 W at u = 0.2.
+    // Host 1's linear table gives 4.5 W anywhere: a bound from the range
+    // ends alone would prune host 0's bucket behind it.
+    const PowerModel v("v", {0.0, 5.0, 10.0, 11.0, 20.0, 25.0, 30.0, 35.0,
+                             40.0, 45.0, 50.0});
+    const PowerModel linear("linear3", {0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0,
+                                        21.0, 24.0, 27.0, 30.0});
+    Datacenter dc({HostSpec{"v", 4000.0, 4096.0, 1000.0, v},
+                   HostSpec{"linear3", 4000.0, 4096.0, 1000.0, linear},
+                   HostSpec{"v", 4000.0, 4096.0, 1000.0, v}},
+                  std::vector<VmSpec>(3, VmSpec{600.0, 512.0, 100.0}));
+    for (int vm = 0; vm < 3; ++vm) dc.place(vm, vm);
+    dc.set_demands(std::vector<double>(3, 1.0));
+    const std::vector<double> util = {0.15, 0.5, 0.9};  // host 2 overloaded
+    ASSERT_EQ(fold_pabfd(dc, util, 1.0, 0, 3, 2, 2), 0);
+    CandidateConfig config;
+    config.full_enumeration_limit = 0;
+    config.random_sources = 0;
+    const ActionBasis basis(3, 3);
+    Rng rng(1);
+    Rng ref_rng = rng;
+    const std::vector<int> vms = {0, 1, 2};
+    const std::vector<std::int32_t> slots = {0, 1, 2};
+    CandidateDomain domain;
+    domain.host_end = 3;
+    domain.vms = vms;
+    domain.vm_slot = slots;
+    domain.slot_capacity = 3;
+    CandidateScratch scratch;
+    const auto want = reference_candidates(dc, util, 0.7, basis, config,
+                                           domain, ref_rng, nullptr,
+                                           pack_cov);
+    generate_candidates(dc, util, 0.7, basis, config, domain, rng, scratch);
+    expect_same_candidates(want, scratch.candidates, "inner knot case");
+  }
+  for (const bool pods : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      CandidateConfig config;
+      config.full_enumeration_limit = 0;  // sampled path at every size
+      config.random_sources = 24;
+      const double ceilings[] = {1.0, 0.75, 1.25};
+      config.target_util_ceiling = ceilings[seed % 3];
+      const int hosts = 40 + static_cast<int>(seed % 5) * 40;  // 40..200
+      const PabfdFleet f =
+          PabfdFleet::make(seed, hosts, seed % 2 == 0 ? 1e4 : 1.0);
+      std::vector<std::pair<int, int>> ranges;
+      if (pods) {
+        for (int b = 0; b < hosts; b += 32) {
+          ranges.emplace_back(b, std::min(hosts, b + 32));
+        }
+      } else {
+        ranges.emplace_back(0, hosts);
+      }
+      std::vector<std::int32_t> slots(static_cast<std::size_t>(f.dc.num_vms()));
+      for (int v = 0; v < f.dc.num_vms(); ++v) {
+        slots[static_cast<std::size_t>(v)] = v;
+      }
+      for (const auto& [begin, end] : ranges) {
+        std::vector<int> vms;
+        for (int v = 0; v < f.dc.num_vms(); ++v) {
+          const int h = f.dc.host_of(v);
+          if (h >= begin && h < end) vms.push_back(v);
+        }
+        if (vms.empty()) continue;
+        CandidateDomain domain;
+        domain.host_begin = begin;
+        domain.host_end = end;
+        domain.vms = vms;
+        domain.vm_slot = slots;
+        domain.slot_capacity = f.dc.num_vms();
+        // Three steps on one scratch, as a pod runs them: the host types
+        // are cached, the buckets rebuilt from each step's utilizations.
+        CandidateScratch scratch;
+        std::vector<double> util = f.host_util;
+        Rng step_rng(seed * 7 + static_cast<std::uint64_t>(begin));
+        for (int step = 0; step < 3; ++step) {
+          Rng rng(seed * 1000 + static_cast<std::uint64_t>(begin + step));
+          Rng ref_rng = rng;
+          const auto want =
+              reference_candidates(f.dc, util, 0.7, f.basis, config, domain,
+                                   ref_rng, nullptr, pack_cov, &cov);
+          generate_candidates(f.dc, util, 0.7, f.basis, config, domain, rng,
+                              scratch);
+          const std::string where =
+              std::string(pods ? "pods" : "fleet") + " seed " +
+              std::to_string(seed) + " hosts [" + std::to_string(begin) +
+              ", " + std::to_string(end) + ") step " + std::to_string(step);
+          expect_same_candidates(want, scratch.candidates, where);
+          EXPECT_EQ(rng_state(ref_rng), rng_state(rng)) << where;
+          ++calls;
+          for (int h = begin; h < end; ++h) {
+            if (f.dc.is_active(h)) {
+              util[static_cast<std::size_t>(h)] =
+                  PabfdFleet::draw_util(step_rng);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(calls, 300);
+  // Every situation the bound must get right was met at least once.
+  EXPECT_GT(cov.sources, 2000);
+  EXPECT_GT(cov.sleeping_pick, 0);
+  EXPECT_GT(cov.on_best_host, 0);
+  EXPECT_GT(cov.exact_tie, 0);
+  EXPECT_GT(cov.noise_tie, 0);
+  EXPECT_GT(cov.on_knot, 0);
+  EXPECT_GT(cov.at_ceiling, 0);
+  EXPECT_GT(cov.pick_on_tenth, 0);
+  EXPECT_GT(cov.saturated_pick, 0);
+}
+
+TEST(CandidatesTest, PabfdProbesStayBelowTheFullFold) {
+  // The paper's shape: 800 G4/G5 hosts, VMs with sampled specs and
+  // demands, placed at random.
+  Rng rng(11);
+  const int hosts = 800, vms = 1052;
+  Datacenter dc(standard_host_fleet(hosts), sample_vm_fleet(vms, rng));
+  place_initial(dc, InitialPlacement::kRandom, rng);
+  std::vector<double> demands(static_cast<std::size_t>(vms));
+  for (double& d : demands) d = rng.uniform(0.0, 0.6);
+  dc.set_demands(demands);
+  const auto host_util = dc.all_host_utilization();
+  const ActionBasis basis(vms, hosts);
+  CandidateConfig config;
+  Counter& probes = Telemetry::instance().counter("megh.pabfd_probes");
+  long long evaluated = 0, full_fold = 0;
+  CandidateScratch scratch;
+  std::vector<int> all_vms;
+  std::vector<std::int32_t> slots(static_cast<std::size_t>(vms));
+  for (int v = 0; v < vms; ++v) {
+    slots[static_cast<std::size_t>(v)] = v;
+    if (dc.host_of(v) != kUnplaced) all_vms.push_back(v);
+  }
+  CandidateDomain domain;
+  domain.host_end = hosts;
+  domain.vms = all_vms;
+  domain.vm_slot = slots;
+  domain.slot_capacity = vms;
+  for (int step = 0; step < 5; ++step) {
+    const long long before = probes.value();
+    generate_candidates(dc, host_util, 0.7, basis, config, domain, rng,
+                        scratch);
+    evaluated += probes.value() - before;
+    std::set<int> sources;
+    for (const CandidateAction& c : scratch.candidates) {
+      if (c.group != CandidateGroup::kConsolidation) sources.insert(c.vm);
+    }
+    full_fold += static_cast<long long>(sources.size()) * hosts;
+  }
+  EXPECT_GT(evaluated, 0);
+  EXPECT_LT(evaluated, full_fold);
+}
+
+TEST(CandidatesTest, TiedHostsStraddlingACutGiveTheLowerIndexFirst) {
+  // 30 hosts with two VMs each (round robin). Two overloaded hosts tie at
+  // 0.9 and two least-utilized hosts tie at 0.05; each cut falls inside
+  // the second host of its tie.
+  World w = World::make(30, 60, 0.1);
+  for (double& u : w.host_util) u = 0.4;
+  w.host_util[12] = w.host_util[5] = 0.9;
+  w.host_util[17] = w.host_util[8] = 0.05;
+  CandidateConfig config;
+  config.full_enumeration_limit = 0;
+  config.max_overloaded_sources = 3;
+  config.consolidation_sources = 3;
+  config.random_sources = 0;
+  Rng rng(8);
+  const auto cands = generate_candidates(w.dc, w.host_util, 0.7, w.basis,
+                                         config, rng);
+  std::vector<int> overloaded, consolidation;
+  for (const CandidateAction& c : cands) {
+    if (!c.is_noop) continue;
+    (c.group == CandidateGroup::kOverloaded ? overloaded : consolidation)
+        .push_back(c.vm);
+  }
+  const auto& on5 = w.dc.vms_on(5);
+  const auto& on8 = w.dc.vms_on(8);
+  ASSERT_EQ(on5.size(), 2u);
+  ASSERT_EQ(on8.size(), 2u);
+  EXPECT_EQ(overloaded, (std::vector<int>{on5[0], on5[1],
+                                          w.dc.vms_on(12)[0]}));
+  EXPECT_EQ(consolidation, (std::vector<int>{on8[0], on8[1],
+                                             w.dc.vms_on(17)[0]}));
 }
 
 TEST(CandidatesTest, OverloadedSourcesStopAtTheirCap) {

@@ -6,8 +6,10 @@
 // are covered by the WAL corruption tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -369,6 +371,27 @@ TEST_F(ServerRecoveryTest, InvalidRequestsRejectedWithoutJournalingOrDrift) {
     DecideRequest bad_host = valid;
     bad_host.host_of[0] = static_cast<int>(init.hosts.size()) + 5;
     expect_rejected(MsgType::kDecide, encode_decide(bad_host));
+
+    // Wire-valid values the engine cannot take: a VM utilization outside
+    // [0, 1] (set_demands would abort the daemon), a NaN or negative host
+    // utilization (the candidate host orders need u >= 0), and a
+    // non-finite step cost.
+    for (double u : {1.5, -0.25, std::nan("")}) {
+      DecideRequest bad_vm_util = valid;
+      bad_vm_util.vm_util.back() = u;
+      expect_rejected(MsgType::kDecide, encode_decide(bad_vm_util));
+    }
+    for (double u :
+         {std::nan(""), -0.5, std::numeric_limits<double>::infinity()}) {
+      DecideRequest bad_host_util = valid;
+      bad_host_util.host_util[0] = u;
+      expect_rejected(MsgType::kDecide, encode_decide(bad_host_util));
+    }
+    for (double c : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      DecideRequest bad_cost = valid;
+      bad_cost.last_step_cost = c;
+      expect_rejected(MsgType::kDecide, encode_decide(bad_cost));
+    }
 
     ObserveRequest bad_range;
     bad_range.outcomes.push_back(MigrationOutcome{
