@@ -9,7 +9,7 @@
 
 #include "common/rng.hpp"
 #include "core/lspi.hpp"
-#include "linalg/sherman_morrison.hpp"
+#include "support/sherman_morrison.hpp"
 
 namespace megh {
 namespace {

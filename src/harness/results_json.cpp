@@ -30,7 +30,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-std::string jstr(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+std::string jstr(const std::string& s) {
+  const std::string escaped = json_escape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.push_back('"');
+  out.append(escaped);
+  out.push_back('"');
+  return out;
+}
 
 std::string jnum(double v) {
   if (!std::isfinite(v)) return "0";

@@ -29,8 +29,8 @@
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/zero_lazy_buffer.hpp"
-#include "linalg/dense_matrix.hpp"
 #include "linalg/sparse_vector.hpp"
 
 namespace megh {
@@ -98,11 +98,6 @@ class SparseMatrix {
   void row_into(Index r, SparseVector& out) const;
   void col_into(Index c, SparseVector& out) const;
 
-  /// out = row(a) − gamma·row(b), fused into one sorted merge — the
-  /// Sherman–Morrison factor w = (e_a − γ e_b)ᵀ B without intermediate
-  /// row materialization.
-  void row_diff_into(Index a, Index b, double gamma, SparseVector& out) const;
-
   /// y = M x for sparse x (cost: sum over x's nonzeros of column nnz).
   SparseVector multiply(const SparseVector& x) const;
 
@@ -110,9 +105,6 @@ class SparseMatrix {
   /// supp(u), O(nnz(row) + nnz(v)) amortized per row.
   void rank1_update(const SparseVector& u, const SparseVector& v,
                     double scale);
-
-  /// Materialize (tests/small dims only).
-  DenseMatrix to_dense() const;
 
  private:
   void check(Index r, Index c) const {

@@ -12,7 +12,7 @@
 //     per named phase via common/stopwatch.hpp. When tracing is off the
 //     scope guard reads one relaxed atomic bool and never touches the
 //     clock, so the null configuration is near-zero overhead (the <5%
-//     bench_micro_policy_step budget in ISSUE.md).
+//     bench_micro_policy_step budget in docs/OBSERVABILITY.md).
 //
 // The engine calls Telemetry::flush_step(step) after settling each
 // interval's costs; at level kCounters or above that emits one TraceRecord

@@ -24,6 +24,7 @@
 #include "sim/placement.hpp"
 #include "sim/sharding.hpp"
 #include "sim/simulation.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace megh {
 namespace {
@@ -277,7 +278,7 @@ TEST_F(HierCheckpointTest, PerPodKillRestoreRoundTripIsExact) {
     for (std::int64_t i = 0; i < a.dim(); ++i) {
       EXPECT_DOUBLE_EQ(a.q_value(i), b.q_value(i)) << "pod " << p;
     }
-    EXPECT_LT(b.B().to_dense().max_abs_diff(a.B().to_dense()), 1e-15)
+    EXPECT_LT(to_dense(b.B()).max_abs_diff(to_dense(a.B())), 1e-15)
         << "pod " << p;
     EXPECT_EQ(a.z().nnz(), b.z().nnz()) << "pod " << p;
     EXPECT_EQ(restored.pod_slot_capacity(p), trained.pod_slot_capacity(p));
@@ -332,7 +333,7 @@ TEST_F(HierCheckpointTest, RestoredPodLearnersContinueIdentically) {
       b.update(act, cost, next);
       EXPECT_DOUBLE_EQ(a.q_value(act), b.q_value(act)) << "pod " << p;
     }
-    EXPECT_LT(b.B().to_dense().max_abs_diff(a.B().to_dense()), 1e-15)
+    EXPECT_LT(to_dense(b.B()).max_abs_diff(to_dense(a.B())), 1e-15)
         << "pod " << p;
   }
 }

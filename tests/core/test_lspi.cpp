@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "linalg/dense_matrix.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace megh {
 namespace {
@@ -61,7 +61,7 @@ TEST_P(LspiAlgebraProperty, ThetaEqualsBTimesZAndBIsInverseOfT) {
 
     const DenseMatrix b_dense = t.inverse();
     // B tracks T⁻¹.
-    EXPECT_LT(learner.B().to_dense().max_abs_diff(b_dense), 1e-7)
+    EXPECT_LT(to_dense(learner.B()).max_abs_diff(b_dense), 1e-7)
         << "B diverged at step " << step;
     // θ = B z, exposed through q_value.
     const auto theta = b_dense.multiply(z);

@@ -18,8 +18,8 @@
 
 #include "common/rng.hpp"
 #include "core/lspi.hpp"
-#include "linalg/dense_matrix.hpp"
-#include "linalg/sherman_morrison.hpp"
+#include "support/dense_matrix.hpp"
+#include "support/sherman_morrison.hpp"
 
 namespace megh {
 namespace {
@@ -71,7 +71,7 @@ void expect_learner_matches(const LspiLearner& learner,
   for (std::int64_t i = 0; i < dim; ++i) {
     EXPECT_NEAR(learner.q_value(i), ref.theta(i), kTol) << "theta[" << i << "]";
   }
-  const DenseMatrix b = learner.B().to_dense();
+  const DenseMatrix b = to_dense(learner.B());
   for (std::int64_t r = 0; r < dim; ++r) {
     for (std::int64_t c = 0; c < dim; ++c) {
       EXPECT_NEAR(b.at(r, c), ref.B().at(r, c), kTol)
@@ -110,13 +110,13 @@ TEST(LspiPropertyTest, SingularDenominatorSkipsRankOneButFoldsCost) {
   B.set(a, a, 1.0);
   B.set(b, a, 4.0);
   learner.restore(std::move(B), SparseVector(dim), SparseVector(dim));
-  const DenseMatrix before = learner.B().to_dense();
+  const DenseMatrix before = to_dense(learner.B());
 
   learner.update(a, 3.0, b);
 
   EXPECT_EQ(learner.singular_skips(), 1);
   // B must be untouched; θ' = θ + C·u = C·(column a of B).
-  const DenseMatrix after = learner.B().to_dense();
+  const DenseMatrix after = to_dense(learner.B());
   for (std::int64_t r = 0; r < dim; ++r) {
     for (std::int64_t c = 0; c < dim; ++c) {
       EXPECT_EQ(after.at(r, c), before.at(r, c));
@@ -229,7 +229,7 @@ TEST(LspiPropertyTest, TruncatedFactorsMatchDenseReplay) {
     }
 
     EXPECT_GT(learner.truncations(), 0);
-    const DenseMatrix got = learner.B().to_dense();
+    const DenseMatrix got = to_dense(learner.B());
     for (std::int64_t r = 0; r < dim; ++r) {
       EXPECT_NEAR(learner.q_value(r), theta[static_cast<std::size_t>(r)], kTol)
           << "theta[" << r << "]";
@@ -270,8 +270,8 @@ TEST(LspiPropertyTest, UpdateBatchBitIdenticalToUpdateLoop) {
     EXPECT_EQ(batched.q_value(i), looped.q_value(i)) << "theta[" << i << "]";
     EXPECT_EQ(batched.z().get(i), looped.z().get(i)) << "z[" << i << "]";
   }
-  const DenseMatrix lhs = batched.B().to_dense();
-  const DenseMatrix rhs = looped.B().to_dense();
+  const DenseMatrix lhs = to_dense(batched.B());
+  const DenseMatrix rhs = to_dense(looped.B());
   for (std::int64_t r = 0; r < dim; ++r) {
     for (std::int64_t c = 0; c < dim; ++c) {
       EXPECT_EQ(lhs.at(r, c), rhs.at(r, c)) << "B(" << r << ", " << c << ")";

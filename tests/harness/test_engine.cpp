@@ -299,5 +299,19 @@ TEST(ResultsJsonTest, SerializesRunAndVerdicts) {
   EXPECT_NE(json.find("\"jobs\": 1"), std::string::npos);
 }
 
+TEST(ResultsJsonTest, EscapesQuotesBackslashesAndControlBytes) {
+  const ExperimentSpec spec = small_spec();
+  ExperimentOutput output;
+  output.spec = &spec;
+  CellResult cell;
+  cell.label = "a\"b\\c\nd\te\x01" "f";
+  output.cells.push_back(cell);
+
+  const std::string json = results_json_string(BenchRunMetadata{}, {output});
+  EXPECT_NE(json.find(R"({"label": "a\"b\\c\nd\te\u0001f", "group": "")"),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace megh

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace megh {
 namespace {
@@ -54,7 +55,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
   x.set(1, 2.0);
   x.set(4, -1.0);
   const SparseVector y = m.multiply(x);
-  const auto y_dense = m.to_dense().multiply(x.to_dense());
+  const auto y_dense = to_dense(m).multiply(x.to_dense());
   for (int i = 0; i < 6; ++i) {
     EXPECT_NEAR(y.get(i), y_dense[static_cast<std::size_t>(i)], 1e-12);
   }
@@ -67,10 +68,10 @@ TEST(SparseMatrixTest, Rank1UpdateMatchesDense) {
   u.set(2, 2.0);
   v.set(2, 3.0);
   v.set(4, -1.0);
-  DenseMatrix reference = m.to_dense();
+  DenseMatrix reference = to_dense(m);
   reference.rank1_update(u.to_dense(), v.to_dense(), -0.5);
   m.rank1_update(u, v, -0.5);
-  EXPECT_LT(m.to_dense().max_abs_diff(reference), 1e-12);
+  EXPECT_LT(to_dense(m).max_abs_diff(reference), 1e-12);
 }
 
 TEST(SparseMatrixTest, RowColAdjacencyStaysConsistentAfterErase) {

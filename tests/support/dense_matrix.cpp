@@ -1,4 +1,4 @@
-#include "linalg/dense_matrix.hpp"
+#include "support/dense_matrix.hpp"
 
 #include <cmath>
 
@@ -112,6 +112,16 @@ double DenseMatrix::max_abs_diff(const DenseMatrix& other) const {
     m = std::max(m, std::abs(data_[i] - other.data_[i]));
   }
   return m;
+}
+
+DenseMatrix to_dense(const SparseMatrix& m) {
+  DenseMatrix out(m.dim(), m.dim());
+  for (SparseMatrix::Index r = 0; r < m.dim(); ++r) {
+    for (SparseMatrix::Index c = 0; c < m.dim(); ++c) {
+      out.at(r, c) = m.get(r, c);
+    }
+  }
+  return out;
 }
 
 }  // namespace megh

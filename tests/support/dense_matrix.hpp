@@ -1,7 +1,7 @@
-// Dense row-major matrix. This is the *reference* implementation: small
-// enough problems (tests, MadVM's per-VM tables, property checks against the
-// sparse Sherman–Morrison path) use it directly; Megh's production path never
-// materializes a dense d×d matrix.
+// Dense row-major matrix: the test oracle for the sparse kernels. Tests
+// and bench_micro_linalg (the Sec. 5.2 sparse-vs-dense timings) link it
+// from the megh_test_support library; Megh itself never materializes a
+// dense d×d matrix.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "linalg/sparse_matrix.hpp"
 
 namespace megh {
 
@@ -65,5 +66,8 @@ class DenseMatrix {
   std::int64_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Materialize a sparse matrix entry by entry (small dims only).
+DenseMatrix to_dense(const SparseMatrix& m);
 
 }  // namespace megh

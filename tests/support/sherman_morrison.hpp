@@ -8,15 +8,17 @@
 // reducing the per-step cost from O(d³) (Gauss–Jordan) to, with the sparse
 // layout, O(nnz touched).
 //
-// Two implementations live here:
-//  * a dense reference (for tests and small problems), and
-//  * the sparse production version over SparseMatrix.
+// Two reference implementations live here, for tests and
+// bench_micro_linalg: a dense one and a generic one over SparseMatrix /
+// SparseVector. Megh's learner applies its own fused unit-vector form of
+// the update (LspiLearner::update); these are the oracles it is checked
+// against.
 #pragma once
 
 #include <span>
 
-#include "linalg/dense_matrix.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace megh {
 
@@ -27,8 +29,7 @@ namespace megh {
 bool sherman_morrison_update(DenseMatrix& B, std::span<const double> u,
                              std::span<const double> v);
 
-/// Sparse production version; identical contract over SparseMatrix /
-/// SparseVector.
+/// Sparse version; identical contract over SparseMatrix / SparseVector.
 bool sherman_morrison_update(SparseMatrix& B, const SparseVector& u,
                              const SparseVector& v);
 
